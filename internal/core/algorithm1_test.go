@@ -8,40 +8,55 @@ import (
 	"gurita/internal/topo"
 )
 
-// mkRuntimeJob builds one active single-coflow runtime job with the given
-// width, true flow size, and per-flow observed bytes, registered with g.
-func mkRuntimeJob(t *testing.T, g *Gurita, jobID coflow.JobID, width int, flowSize int64, sent float64) *sim.CoflowState {
+// runtimeJob describes one single-coflow job: its width, true flow size,
+// and per-flow observed bytes.
+type runtimeJob struct {
+	id       coflow.JobID
+	width    int
+	flowSize int64
+	sent     float64
+}
+
+// mkRuntimeJobs builds the jobs' runtime states together (one dense index
+// each), sizes g for them on a 64-port big switch, and registers every job
+// and its active coflow with g. It returns the coflow states in order.
+func mkRuntimeJobs(t *testing.T, g *Gurita, specs ...runtimeJob) []*sim.CoflowState {
 	t.Helper()
-	cid := coflow.CoflowID(jobID * 1000)
-	fid := coflow.FlowID(jobID * 1000)
-	b := coflow.NewBuilder(jobID, 0, &cid, &fid)
-	specs := make([]coflow.FlowSpec, width)
-	for i := range specs {
-		specs[i] = coflow.FlowSpec{
-			Src:  topo.ServerID(i),
-			Dst:  topo.ServerID(i + 16),
-			Size: flowSize,
+	var jobs []*coflow.Job
+	for _, sp := range specs {
+		cid := coflow.CoflowID(sp.id * 1000)
+		fid := coflow.FlowID(sp.id * 1000)
+		b := coflow.NewBuilder(sp.id, 0, &cid, &fid)
+		flows := make([]coflow.FlowSpec, sp.width)
+		for i := range flows {
+			flows[i] = coflow.FlowSpec{
+				Src:  topo.ServerID(i),
+				Dst:  topo.ServerID(i + 16),
+				Size: sp.flowSize,
+			}
 		}
+		b.AddCoflow(flows...)
+		j, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs = append(jobs, j)
 	}
-	b.AddCoflow(specs...)
-	j, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
+	tp, _ := topo.NewBigSwitch(64, 1.25e9)
+	var out []*sim.CoflowState
+	for i, js := range runtimeStates(g, tp, jobs...) {
+		cs := js.Coflows[0]
+		for _, fs := range cs.Flows {
+			fs.MarkStarted(0)
+			fs.Sent = specs[i].sent
+			cs.BytesSent += specs[i].sent
+			js.BytesSent += specs[i].sent
+		}
+		g.OnJobArrival(js)
+		g.OnCoflowStart(cs)
+		out = append(out, cs)
 	}
-	js := &sim.JobState{Job: j}
-	cs := &sim.CoflowState{Coflow: j.Coflows[0], Job: js, Phase: sim.PhaseActive}
-	for _, fl := range j.Coflows[0].Flows {
-		fs := &sim.FlowState{Flow: fl, Coflow: cs}
-		fs.MarkStarted(0)
-		fs.Sent = sent
-		cs.BytesSent += sent
-		js.BytesSent += sent
-		cs.Flows = append(cs.Flows, fs)
-	}
-	js.Coflows = []*sim.CoflowState{cs}
-	g.OnJobArrival(js)
-	g.OnCoflowStart(cs)
-	return cs
+	return out
 }
 
 // TestRankLBEFOrdersByBlockingEffect: Algorithm 1 puts the least-blocking
@@ -51,11 +66,11 @@ func TestRankLBEFOrdersByBlockingEffect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tp, _ := topo.NewBigSwitch(64, 1.25e9)
-	g.Init(sim.Env{Topo: tp, Queues: 4, Now: func() float64 { return 0 }})
-
-	fat := mkRuntimeJob(t, g, 1, 10, 1e9, 100e6) // wide, lots observed
-	thin := mkRuntimeJob(t, g, 2, 1, 1e6, 1e5)   // narrow, little observed
+	cs := mkRuntimeJobs(t, g,
+		runtimeJob{1, 10, 1e9, 100e6}, // wide, lots observed
+		runtimeJob{2, 1, 1e6, 1e5},    // narrow, little observed
+	)
+	fat, thin := cs[0], cs[1]
 
 	order := g.RankLBEF(1, []*sim.CoflowState{fat, thin})
 	if len(order) != 2 || order[0] != thin || order[1] != fat {
@@ -70,11 +85,8 @@ func TestRankLBEFDeterministicTies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tp, _ := topo.NewBigSwitch(64, 1.25e9)
-	g.Init(sim.Env{Topo: tp, Queues: 4, Now: func() float64 { return 0 }})
-
-	a := mkRuntimeJob(t, g, 1, 2, 1e6, 5e5)
-	b := mkRuntimeJob(t, g, 2, 2, 1e6, 5e5)
+	cs := mkRuntimeJobs(t, g, runtimeJob{1, 2, 1e6, 5e5}, runtimeJob{2, 2, 1e6, 5e5})
+	a, b := cs[0], cs[1]
 	order1 := g.RankLBEF(1, []*sim.CoflowState{b, a})
 	order2 := g.RankLBEF(2, []*sim.CoflowState{a, b})
 	if order1[0] != order2[0] || order1[1] != order2[1] {
@@ -92,11 +104,11 @@ func TestRankLBEFOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tp, _ := topo.NewBigSwitch(64, 1.25e9)
-	g.Init(sim.Env{Topo: tp, Queues: 4, Now: func() float64 { return 0 }})
-
-	fat := mkRuntimeJob(t, g, 1, 10, 1e9, 0) // nothing observed yet
-	thin := mkRuntimeJob(t, g, 2, 1, 1e6, 0)
+	cs := mkRuntimeJobs(t, g,
+		runtimeJob{1, 10, 1e9, 0}, // nothing observed yet
+		runtimeJob{2, 1, 1e6, 0},
+	)
+	fat, thin := cs[0], cs[1]
 	order := g.RankLBEF(0, []*sim.CoflowState{fat, thin})
 	if order[0] != thin {
 		t.Fatal("oracle ranking must use true sizes")

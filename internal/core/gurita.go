@@ -64,14 +64,12 @@ func (c *Config) applyDefaults() {
 
 // jobInfo is Gurita's per-job bookkeeping.
 type jobInfo struct {
-	js *sim.JobState
+	// live is set from the job's arrival until its completion.
+	live bool
 
 	// recentLargest is the AVA window: the observed largest-flow sizes of
 	// the job's most recently completed coflows (at most SMax entries).
 	recentLargest []float64
-
-	// criticalSet is the exact critical set, oracle mode only.
-	criticalSet map[coflow.CoflowID]bool
 }
 
 // avgLargest returns the AVA mean of the window, 0 when empty.
@@ -94,15 +92,25 @@ type Gurita struct {
 	thresholds []float64
 	agg        *hr.Aggregator
 
-	jobs   map[coflow.JobID]*jobInfo
+	// Per-job and per-coflow tables, indexed by JobState.Index and
+	// CoflowState.Index and sized once in Init.
+	jobs   []jobInfo
 	active []*sim.CoflowState
+	// critical marks the coflows of the exact critical sets (oracle mode).
+	critical []bool
 
-	// psiC/psiJ are the current blocking-effect maps. They are recomputed
-	// only when a coordination round ran or the active structure changed
+	// psiC/psiJ are the current blocking effects per coflow and per job, and
+	// target each active coflow's LBEF queue. They are recomputed only when
+	// a coordination round ran or the active structure changed
 	// (structureDirty, set by the lifecycle hooks); between those points
-	// every Ψ input is constant, so targets cannot move.
-	psiC           map[coflow.CoflowID]float64
-	psiJ           map[coflow.JobID]float64
+	// every Ψ input is constant, so targets cannot move. psiStamp marks the
+	// coflows the last rebuild saw: a coflow's entries are current while
+	// its stamp equals rebuilds.
+	psiC           []float64
+	psiJ           []float64
+	target         []int
+	psiStamp       []uint32
+	rebuilds       uint32
 	structureDirty bool
 }
 
@@ -130,9 +138,6 @@ func New(cfg Config, queues int) (*Gurita, error) {
 		cfg:        cfg,
 		thresholds: th,
 		agg:        hr.New(cfg.Delta),
-		jobs:       make(map[coflow.JobID]*jobInfo),
-		psiC:       make(map[coflow.CoflowID]float64),
-		psiJ:       make(map[coflow.JobID]float64),
 	}, nil
 }
 
@@ -153,8 +158,20 @@ func (g *Gurita) Name() string {
 	return "gurita"
 }
 
-// Init implements sim.Scheduler.
-func (g *Gurita) Init(env sim.Env) { g.env = env }
+// Init implements sim.Scheduler: it sizes every per-job and per-coflow
+// table for the run.
+func (g *Gurita) Init(env sim.Env) {
+	g.env = env
+	g.agg.Init(env)
+	g.jobs = make([]jobInfo, env.Jobs)
+	g.psiJ = make([]float64, env.Jobs)
+	g.psiC = make([]float64, env.Coflows)
+	g.target = make([]int, env.Coflows)
+	g.psiStamp = make([]uint32, env.Coflows)
+	if g.cfg.Oracle && !g.cfg.DisableCriticalPath {
+		g.critical = make([]bool, env.Coflows)
+	}
+}
 
 // OnControlFault implements sim.ControlFaultObserver. GuritaPlus is an
 // oracle — it has no reporting plane to degrade — so control faults only
@@ -168,12 +185,14 @@ func (g *Gurita) OnControlFault(now float64, ev faults.Event) {
 
 // OnJobArrival implements sim.Scheduler.
 func (g *Gurita) OnJobArrival(js *sim.JobState) {
-	ji := &jobInfo{js: js}
-	if g.cfg.Oracle && !g.cfg.DisableCriticalPath {
+	g.jobs[js.Index()] = jobInfo{live: true}
+	if g.critical != nil {
 		// Exact critical set over the job DAG with CCT ≈ L/R weights.
-		ji.criticalSet = coflow.CriticalSet(js.Job, coflow.CCTWeight(g.env.Topo.LinkCapacity(0)))
+		set := coflow.CriticalSet(js.Job, coflow.CCTWeight(g.env.Topo.LinkCapacity(0)))
+		for _, cs := range js.Coflows {
+			g.critical[cs.Index()] = set[cs.Coflow.ID]
+		}
 	}
-	g.jobs[js.Job.ID] = ji
 	g.structureDirty = true
 }
 
@@ -193,8 +212,8 @@ func (g *Gurita) OnCoflowComplete(cs *sim.CoflowState) {
 		}
 	}
 	// Feed the AVA window with the completed coflow's observed largest flow.
-	ji := g.jobs[cs.Job.Job.ID]
-	if ji == nil {
+	ji := &g.jobs[cs.Job.Index()]
+	if !ji.live {
 		return
 	}
 	ji.recentLargest = append(ji.recentLargest, cs.ObservedLargest())
@@ -205,7 +224,7 @@ func (g *Gurita) OnCoflowComplete(cs *sim.CoflowState) {
 
 // OnJobComplete implements sim.Scheduler.
 func (g *Gurita) OnJobComplete(js *sim.JobState) {
-	delete(g.jobs, js.Job.ID)
+	g.jobs[js.Index()] = jobInfo{}
 	g.structureDirty = true
 }
 
@@ -223,13 +242,11 @@ func (g *Gurita) psi(cs *sim.CoflowState) float64 {
 		largest = float64(c.LargestFlow())
 		width = c.Width()
 		mean = c.MeanFlowSize()
-		if !g.cfg.DisableCriticalPath {
-			if ji := g.jobs[cs.Job.Job.ID]; ji != nil {
-				critical = ji.criticalSet[c.ID]
-			}
+		if g.critical != nil && g.jobs[cs.Job.Index()].live {
+			critical = g.critical[cs.Index()]
 		}
 	} else {
-		obs, ok := g.agg.Coflow(c.ID)
+		obs, ok := g.agg.Coflow(cs)
 		if !ok {
 			// Never observed by a reporting round: brand-new coflows keep
 			// the highest priority (paper: "too small to wait for decisions
@@ -248,7 +265,7 @@ func (g *Gurita) psi(cs *sim.CoflowState) float64 {
 			// AVA: the coflow is probably on a critical path when its
 			// observed largest flow reaches the average of the largest
 			// flows seen on the job's recently completed coflows.
-			if ji := g.jobs[cs.Job.Job.ID]; ji != nil {
+			if ji := &g.jobs[cs.Job.Index()]; ji.live {
 				if avg := ji.avgLargest(); avg > 0 && obs.Largest >= avg {
 					critical = true
 				}
@@ -277,9 +294,9 @@ func (g *Gurita) psi(cs *sim.CoflowState) float64 {
 //
 // Every Ψ input — HR observations, AVA windows, stage counters, the active
 // set itself — changes only at a coordination round or a lifecycle event
-// (structureDirty), so the Ψ maps are rebuilt and the flows swept only then;
-// between those points only newly admitted flows need assigning from the
-// standing maps.
+// (structureDirty), so the Ψ tables and per-coflow targets are rebuilt and
+// the flows swept only then; between those points only newly admitted flows
+// need assigning from the standing targets.
 func (g *Gurita) AssignQueues(now float64, flows, added, dirty []*sim.FlowState) []*sim.FlowState {
 	refreshed := false
 	if !g.cfg.Oracle {
@@ -287,16 +304,9 @@ func (g *Gurita) AssignQueues(now float64, flows, added, dirty []*sim.FlowState)
 	}
 	if refreshed || g.structureDirty {
 		g.structureDirty = false
-		// Ψ per active coflow and Σ per job.
-		clear(g.psiC)
-		clear(g.psiJ)
-		for _, cs := range g.active {
-			p := g.psi(cs)
-			g.psiC[cs.Coflow.ID] = p
-			g.psiJ[cs.Job.Job.ID] += p
-		}
+		g.rebuild()
 		for _, f := range flows {
-			target := g.targetQueue(f)
+			target := g.target[f.Coflow.Index()]
 			if !g.cfg.Oracle && target < f.Queue() {
 				// Reordering rule: no in-flight promotion.
 				continue
@@ -311,21 +321,30 @@ func (g *Gurita) AssignQueues(now float64, flows, added, dirty []*sim.FlowState)
 	for _, f := range added {
 		// New flows start in queue 0, so the reordering rule (no in-flight
 		// promotion) can never block their first assignment.
-		f.SetQueue(g.targetQueue(f))
+		f.SetQueue(g.target[f.Coflow.Index()])
 	}
 	return dirty
 }
 
-// targetQueue is the LBEF queue for one flow under the standing Ψ maps: the
-// worse of its job-level and coflow-level demotion.
-func (g *Gurita) targetQueue(f *sim.FlowState) int {
-	cs := f.Coflow
-	jobQ := sched.QueueFor(g.psiJ[cs.Job.Job.ID], g.thresholds)
-	ownQ := sched.QueueFor(g.psiC[cs.Coflow.ID], g.thresholds)
-	if ownQ > jobQ {
-		return ownQ
+// rebuild recomputes Ψ per active coflow, Σ per job (summed in active
+// order, so the float sums are reproducible), and each active coflow's LBEF
+// target: the worse of its job-level and coflow-level demotion.
+func (g *Gurita) rebuild() {
+	g.rebuilds++
+	for _, cs := range g.active {
+		g.psiJ[cs.Job.Index()] = 0
 	}
-	return jobQ
+	for _, cs := range g.active {
+		p := g.psi(cs)
+		g.psiC[cs.Index()] = p
+		g.psiStamp[cs.Index()] = g.rebuilds
+		g.psiJ[cs.Job.Index()] += p
+	}
+	for _, cs := range g.active {
+		jobQ := sched.QueueFor(g.psiJ[cs.Job.Index()], g.thresholds)
+		ownQ := sched.QueueFor(g.psiC[cs.Index()], g.thresholds)
+		g.target[cs.Index()] = max(jobQ, ownQ)
+	}
 }
 
 // DecisionScore implements sim.DecisionScorer: the coflow's standing
@@ -334,6 +353,9 @@ func (g *Gurita) targetQueue(f *sim.FlowState) int {
 // the two demotions); the per-coflow Ψ is the value worth auditing because
 // it is what distinguishes LBEF from plain TBS ordering.
 func (g *Gurita) DecisionScore(f *sim.FlowState) (float64, bool) {
-	p, ok := g.psiC[f.Coflow.Coflow.ID]
-	return p, ok
+	i := f.Coflow.Index()
+	if st := g.psiStamp[i]; st == 0 || st != g.rebuilds {
+		return 0, false
+	}
+	return g.psiC[i], true
 }

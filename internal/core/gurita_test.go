@@ -152,19 +152,15 @@ func TestMultiStagePriorityRecovers(t *testing.T) {
 // demoted it is never promoted back while in flight.
 func TestNoInflightPromotion(t *testing.T) {
 	g := newGurita(t, Config{Delta: 0.001}, 4)
-	g.Init(sim.Env{Queues: 4, Now: func() float64 { return 0 }})
-
 	b := coflow.NewBuilder(1, 0, nil, nil)
 	b.AddCoflow(coflow.FlowSpec{Src: 0, Dst: 1, Size: 1000})
 	j, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	js := &sim.JobState{Job: j}
-	cs := &sim.CoflowState{Coflow: j.Coflows[0], Job: js, Phase: sim.PhaseActive}
-	js.Coflows = []*sim.CoflowState{cs}
-	fs := &sim.FlowState{Flow: j.Coflows[0].Flows[0], Coflow: cs}
-	cs.Flows = []*sim.FlowState{fs}
+	js := runtimeStates(g, nil, j)[0]
+	cs := js.Coflows[0]
+	fs := cs.Flows[0]
 
 	g.OnJobArrival(js)
 	g.OnCoflowStart(cs)
@@ -182,7 +178,7 @@ func TestNoInflightPromotion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gp.Init(sim.Env{Topo: mustTopo(t), Queues: 4, Now: func() float64 { return 0 }})
+	gp.Init(sim.Env{Topo: mustTopo(t), Queues: 4, Jobs: 1, Coflows: 1})
 	gp.OnJobArrival(js)
 	gp.OnCoflowStart(cs)
 	fs.SetQueue(3)
@@ -205,24 +201,45 @@ func mustTopo(t *testing.T) *topo.Topology {
 // Ψ is 0 → queue 0.
 func TestFreshCoflowHighestPriority(t *testing.T) {
 	g := newGurita(t, Config{Delta: 100}, 4) // long delta: no round besides the first
-	g.Init(sim.Env{Queues: 4, Now: func() float64 { return 0 }})
 	b := coflow.NewBuilder(1, 0, nil, nil)
 	b.AddCoflow(coflow.FlowSpec{Src: 0, Dst: 1, Size: 1e9})
 	j, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	js := &sim.JobState{Job: j}
-	cs := &sim.CoflowState{Coflow: j.Coflows[0], Job: js, Phase: sim.PhaseActive, BytesSent: 5e8}
-	js.Coflows = []*sim.CoflowState{cs}
-	fs := &sim.FlowState{Flow: j.Coflows[0].Flows[0], Coflow: cs, Sent: 5e8}
-	cs.Flows = []*sim.FlowState{fs}
+	js := runtimeStates(g, nil, j)[0]
+	cs := js.Coflows[0]
+	fs := cs.Flows[0]
 	g.OnJobArrival(js)
-	// Note: no OnCoflowStart → the aggregator never sees it.
-	g.AssignQueues(0, []*sim.FlowState{fs}, nil, nil)
+	// The first round runs before the coflow starts, so the next one is
+	// 100 s away and the aggregator never sees the coflow's bytes.
+	g.AssignQueues(0, nil, nil, nil)
+	g.OnCoflowStart(cs)
+	fs.MarkStarted(0)
+	fs.Sent, cs.BytesSent = 5e8, 5e8
+	g.AssignQueues(1, []*sim.FlowState{fs}, []*sim.FlowState{fs}, nil)
 	if fs.Queue() != 0 {
 		t.Fatalf("unobserved coflow queue = %d, want 0", fs.Queue())
 	}
+	if _, ok := g.DecisionScore(fs); !ok {
+		t.Fatal("a coflow the last rebuild saw must have a decision score")
+	}
+}
+
+// runtimeStates builds the jobs' runtime states through sim.BuildStates (one
+// dense index per state, as the engine assigns them), marks every coflow
+// active, and sizes g's tables for them with four queues on topology tp.
+func runtimeStates(g *Gurita, tp *topo.Topology, jobs ...*coflow.Job) []*sim.JobState {
+	states := sim.BuildStates(jobs)
+	coflows := 0
+	for _, js := range states {
+		for _, cs := range js.Coflows {
+			cs.Phase = sim.PhaseActive
+			coflows++
+		}
+	}
+	g.Init(sim.Env{Topo: tp, Queues: 4, Now: func() float64 { return 0 }, Jobs: len(states), Coflows: coflows})
+	return states
 }
 
 // TestGuritaCloseToPlus: on a mixed workload the practical scheduler's

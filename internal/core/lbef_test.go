@@ -29,7 +29,6 @@ func newHarness(t *testing.T, cfg Config, stages ...[]coflow.FlowSpec) *harness 
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.Init(sim.Env{Topo: tp, Queues: 4, Now: func() float64 { return 0 }})
 
 	var cid coflow.CoflowID
 	var fid coflow.FlowID
@@ -46,14 +45,7 @@ func newHarness(t *testing.T, cfg Config, stages ...[]coflow.FlowSpec) *harness 
 	if err != nil {
 		t.Fatal(err)
 	}
-	js := &sim.JobState{Job: j}
-	for _, c := range j.Coflows {
-		cs := &sim.CoflowState{Coflow: c, Job: js, Phase: sim.PhaseActive}
-		for _, fl := range c.Flows {
-			cs.Flows = append(cs.Flows, &sim.FlowState{Flow: fl, Coflow: cs})
-		}
-		js.Coflows = append(js.Coflows, cs)
-	}
+	js := runtimeStates(g, tp, j)[0]
 	hn := &harness{g: g, js: js}
 	g.OnJobArrival(js)
 	return hn
@@ -131,15 +123,7 @@ func TestJobLevelSumDemotesSiblings(t *testing.T) {
 		t.Fatal(err)
 	}
 	tp, _ := topo.NewBigSwitch(32, 1.25e9)
-	g.Init(sim.Env{Topo: tp, Queues: 4, Now: func() float64 { return 0 }})
-	js := &sim.JobState{Job: j}
-	for _, c := range j.Coflows {
-		cs := &sim.CoflowState{Coflow: c, Job: js, Phase: sim.PhaseActive}
-		for _, fl := range c.Flows {
-			cs.Flows = append(cs.Flows, &sim.FlowState{Flow: fl, Coflow: cs})
-		}
-		js.Coflows = append(js.Coflows, cs)
-	}
+	js := runtimeStates(g, tp, j)[0]
 	g.OnJobArrival(js)
 	fat, thin := js.Coflows[0], js.Coflows[1]
 	g.OnCoflowStart(fat)
@@ -176,7 +160,7 @@ func TestAVAWindowBounded(t *testing.T) {
 		cs := h.activate(t, i, float64(10*(i+1)))
 		h.g.OnCoflowComplete(cs)
 	}
-	ji := h.g.jobs[h.js.Job.ID]
+	ji := h.g.jobs[h.js.Index()]
 	if len(ji.recentLargest) != 3 {
 		t.Fatalf("AVA window = %d samples, want 3 (SMax)", len(ji.recentLargest))
 	}
@@ -196,7 +180,7 @@ func TestAVAWindowBounded(t *testing.T) {
 // critical discount applies.
 func TestAVAEmptyWindow(t *testing.T) {
 	h := newHarness(t, Config{}, specN(1, 100))
-	ji := h.g.jobs[h.js.Job.ID]
+	ji := h.g.jobs[h.js.Index()]
 	if ji.avgLargest() != 0 {
 		t.Fatal("empty window should average 0")
 	}
@@ -242,7 +226,6 @@ func TestOracleUsesStaticStructure(t *testing.T) {
 		t.Fatal(err)
 	}
 	tp, _ := topo.NewBigSwitch(32, 1.25e9)
-	g.Init(sim.Env{Topo: tp, Queues: 4, Now: func() float64 { return 0 }})
 	var cid coflow.CoflowID
 	var fid coflow.FlowID
 	b := coflow.NewBuilder(1, 0, &cid, &fid)
@@ -251,14 +234,11 @@ func TestOracleUsesStaticStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	js := &sim.JobState{Job: j}
-	cs := &sim.CoflowState{Coflow: j.Coflows[0], Job: js, Phase: sim.PhaseActive}
-	for _, fl := range j.Coflows[0].Flows {
-		fs := &sim.FlowState{Flow: fl, Coflow: cs}
+	js := runtimeStates(g, tp, j)[0]
+	cs := js.Coflows[0]
+	for _, fs := range cs.Flows {
 		fs.MarkStarted(0)
-		cs.Flows = append(cs.Flows, fs)
 	}
-	js.Coflows = []*sim.CoflowState{cs}
 	g.OnJobArrival(js)
 	g.OnCoflowStart(cs)
 	g.AssignQueues(0, cs.Flows, nil, nil)

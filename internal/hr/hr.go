@@ -14,7 +14,6 @@
 package hr
 
 import (
-	"gurita/internal/coflow"
 	"gurita/internal/faults"
 	"gurita/internal/sim"
 	"gurita/internal/topo"
@@ -53,35 +52,58 @@ type JobObs struct {
 }
 
 // Aggregator snapshots receiver observations every delta seconds.
-// The zero value is unusable; use New. Not safe for concurrent use — the
-// simulator is single-threaded.
+// The zero value is unusable; use New, then Init. Not safe for concurrent
+// use — the simulator is single-threaded.
+//
+// Snapshots live in dense tables indexed by CoflowState.Index and
+// JobState.Index, double-buffered so stale hosts can keep serving the
+// previous round. Every entry carries the round that wrote it: an entry
+// belongs to the current snapshot only while its stamp equals round, and to
+// the previous one while it equals round-1, so a reporting round overwrites
+// the entries of the coflows it sees and never clears a table.
 type Aggregator struct {
 	delta    float64
 	last     float64
 	hasRound bool
 
-	coflows map[coflow.CoflowID]CoflowObs
-	jobs    map[coflow.JobID]JobObs
+	// round numbers the current snapshot. It starts at 1, so zero-stamped
+	// (never written) entries belong to no snapshot, and advances once per
+	// completed reporting round; cur selects which buffer of each pair is
+	// the current one.
+	round   uint32
+	cur     int
+	coflows [2][]coflowEntry
+	jobs    [2][]jobEntry
 
 	// Control-plane fault state (see DropRounds, Suspend, MarkHostStale).
-	// prevCoflows/prevJobs double-buffer the previous round so stale hosts
-	// can keep serving it; the maps swap every completed round.
 	dropNext     int
 	suspendUntil float64
 	staleHosts   map[topo.ServerID]float64
-	prevCoflows  map[coflow.CoflowID]CoflowObs
-	prevJobs     map[coflow.JobID]JobObs
+}
+
+type coflowEntry struct {
+	obs   CoflowObs
+	round uint32
+}
+
+type jobEntry struct {
+	obs   JobObs
+	round uint32
 }
 
 // New builds an aggregator with reporting interval delta (seconds). A
 // non-positive delta means "report continuously": every Refresh snapshots.
 func New(delta float64) *Aggregator {
-	return &Aggregator{
-		delta:       delta,
-		coflows:     make(map[coflow.CoflowID]CoflowObs),
-		jobs:        make(map[coflow.JobID]JobObs),
-		prevCoflows: make(map[coflow.CoflowID]CoflowObs),
-		prevJobs:    make(map[coflow.JobID]JobObs),
+	return &Aggregator{delta: delta, round: 1}
+}
+
+// Init sizes the snapshot tables for a run's states (env.Jobs and
+// env.Coflows bound their dense indices). Schedulers call it from their own
+// Init, before the first Refresh.
+func (a *Aggregator) Init(env sim.Env) {
+	for i := range a.coflows {
+		a.coflows[i] = make([]coflowEntry, env.Coflows)
+		a.jobs[i] = make([]jobEntry, env.Jobs)
 	}
 }
 
@@ -112,16 +134,14 @@ func (a *Aggregator) Refresh(now float64, active []*sim.CoflowState) bool {
 	a.last = now
 	a.hasRound = true
 
-	// Swap in the previous round's snapshot so stale hosts can keep serving
-	// it, then rebuild: completed coflows drop out.
-	a.coflows, a.prevCoflows = a.prevCoflows, a.coflows
-	a.jobs, a.prevJobs = a.prevJobs, a.jobs
-	for k := range a.coflows {
-		delete(a.coflows, k)
-	}
-	for k := range a.jobs {
-		delete(a.jobs, k)
-	}
+	// The current snapshot becomes the previous one, which stale hosts keep
+	// serving; the new round's entries are stamped with the new round
+	// number, so coflows it does not see (completed ones) drop out.
+	prevRound := a.round
+	a.round++
+	a.cur ^= 1
+	cofs, jobs := a.coflows[a.cur], a.jobs[a.cur]
+	prevCofs, prevJobs := a.coflows[a.cur^1], a.jobs[a.cur^1]
 	for h, until := range a.staleHosts {
 		if now >= until {
 			delete(a.staleHosts, h)
@@ -129,23 +149,24 @@ func (a *Aggregator) Refresh(now float64, active []*sim.CoflowState) bool {
 	}
 	for _, cs := range active {
 		js := cs.Job
+		ci, ji := cs.Index(), js.Index()
 		if h, ok := headReceiver(cs); ok {
 			if until, stale := a.staleHosts[h]; stale && now < until {
 				// Reports from this HR's host are lost: it keeps serving
 				// whatever it knew at the last healthy round (nothing, if it
 				// had never reported).
-				if prev, had := a.prevCoflows[cs.Coflow.ID]; had {
-					a.coflows[cs.Coflow.ID] = prev
+				if prev := prevCofs[ci]; prev.round == prevRound {
+					cofs[ci] = coflowEntry{prev.obs, a.round}
 				}
-				if _, set := a.jobs[js.Job.ID]; !set {
-					if prevJob, had := a.prevJobs[js.Job.ID]; had {
-						a.jobs[js.Job.ID] = prevJob
+				if jobs[ji].round != a.round {
+					if prev := prevJobs[ji]; prev.round == prevRound {
+						jobs[ji] = jobEntry{prev.obs, a.round}
 					}
 				}
 				continue
 			}
 		}
-		a.coflows[cs.Coflow.ID] = CoflowObs{
+		cofs[ci] = coflowEntry{CoflowObs{
 			Width:              cs.ObservedWidth(),
 			Largest:            cs.ObservedLargest(),
 			Mean:               cs.ObservedMeanFlowSize(),
@@ -153,11 +174,11 @@ func (a *Aggregator) Refresh(now float64, active []*sim.CoflowState) bool {
 			Stage:              cs.Coflow.Stage,
 			JobCompletedStages: js.CompletedStages,
 			Done:               cs.Phase == sim.PhaseDone,
-		}
-		obs := a.jobs[js.Job.ID]
-		obs.Bytes = js.BytesSent
-		obs.CompletedStages = js.CompletedStages
-		a.jobs[js.Job.ID] = obs
+		}, a.round}
+		jobs[ji] = jobEntry{JobObs{
+			Bytes:           js.BytesSent,
+			CompletedStages: js.CompletedStages,
+		}, a.round}
 	}
 	return true
 }
@@ -223,13 +244,19 @@ func (a *Aggregator) OnControlFault(now float64, ev faults.Event) {
 // Coflow returns the last-round observation for a coflow. ok is false when
 // the coflow has not yet appeared in any round — the paper's "too small to
 // wait for decisions from HR" case, which callers treat as highest priority.
-func (a *Aggregator) Coflow(id coflow.CoflowID) (CoflowObs, bool) {
-	obs, ok := a.coflows[id]
-	return obs, ok
+func (a *Aggregator) Coflow(cs *sim.CoflowState) (CoflowObs, bool) {
+	e := &a.coflows[a.cur][cs.Index()]
+	if e.round != a.round {
+		return CoflowObs{}, false
+	}
+	return e.obs, true
 }
 
 // Job returns the last-round observation for a job.
-func (a *Aggregator) Job(id coflow.JobID) (JobObs, bool) {
-	obs, ok := a.jobs[id]
-	return obs, ok
+func (a *Aggregator) Job(js *sim.JobState) (JobObs, bool) {
+	e := &a.jobs[a.cur][js.Index()]
+	if e.round != a.round {
+		return JobObs{}, false
+	}
+	return e.obs, true
 }

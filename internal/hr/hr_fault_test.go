@@ -3,43 +3,9 @@ package hr
 import (
 	"testing"
 
-	"gurita/internal/coflow"
 	"gurita/internal/faults"
 	"gurita/internal/sim"
-	"gurita/internal/topo"
 )
-
-// mkCoflowStateAt is mkCoflowState with an explicit head-receiver host: the
-// first flow's destination determines which server the coflow's HR lives on.
-func mkCoflowStateAt(t *testing.T, jobID coflow.JobID, sent float64, hr topo.ServerID) *sim.CoflowState {
-	t.Helper()
-	// Derive distinct coflow IDs per job so multi-coflow tests don't collide
-	// in the aggregator's snapshot maps.
-	cid := coflow.CoflowID(jobID * 100)
-	b := coflow.NewBuilder(jobID, 0, &cid, nil)
-	b.AddCoflow(
-		coflow.FlowSpec{Src: 0, Dst: hr, Size: 1000},
-		coflow.FlowSpec{Src: 2, Dst: 3, Size: 1000},
-	)
-	j, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	js := &sim.JobState{Job: j, BytesSent: sent}
-	cs := &sim.CoflowState{
-		Coflow:    j.Coflows[0],
-		Job:       js,
-		Phase:     sim.PhaseActive,
-		BytesSent: sent,
-	}
-	// Populate flow states: headReceiver resolves the HR host from the first
-	// flow's destination.
-	for _, f := range j.Coflows[0].Flows {
-		cs.Flows = append(cs.Flows, &sim.FlowState{Flow: f, Coflow: cs})
-	}
-	js.Coflows = []*sim.CoflowState{cs}
-	return cs
-}
 
 // Control-plane fault tests: dropped rounds consume their slot but keep the
 // snapshot, delays suspend rounds without consuming slots, and stale hosts
@@ -48,7 +14,7 @@ func mkCoflowStateAt(t *testing.T, jobID coflow.JobID, sent float64, hr topo.Ser
 
 func TestDropRoundsKeepsSnapshot(t *testing.T) {
 	a := New(1.0)
-	cs := mkCoflowState(t, 1, 100)
+	cs := mkCoflowState(t, a, 1, 100)
 	a.Refresh(0, []*sim.CoflowState{cs})
 
 	a.OnControlFault(0.5, faults.Event{Kind: faults.CtrlDropRounds, Count: 1})
@@ -59,7 +25,7 @@ func TestDropRoundsKeepsSnapshot(t *testing.T) {
 	if a.Refresh(1.0, []*sim.CoflowState{cs}) {
 		t.Fatal("dropped round should report not-refreshed")
 	}
-	obs, _ := a.Coflow(cs.Coflow.ID)
+	obs, _ := a.Coflow(cs)
 	if obs.Bytes != 100 {
 		t.Fatalf("Bytes = %v, want stale 100 after dropped round", obs.Bytes)
 	}
@@ -72,7 +38,7 @@ func TestDropRoundsKeepsSnapshot(t *testing.T) {
 	if !a.Refresh(2.0, []*sim.CoflowState{cs}) {
 		t.Fatal("round after the dropped slot should run")
 	}
-	obs, _ = a.Coflow(cs.Coflow.ID)
+	obs, _ = a.Coflow(cs)
 	if obs.Bytes != 900 {
 		t.Fatalf("Bytes = %v, want 900 after recovery round", obs.Bytes)
 	}
@@ -80,7 +46,7 @@ func TestDropRoundsKeepsSnapshot(t *testing.T) {
 
 func TestDelaySuspendsWithoutConsumingSlot(t *testing.T) {
 	a := New(1.0)
-	cs := mkCoflowState(t, 1, 100)
+	cs := mkCoflowState(t, a, 1, 100)
 	a.Refresh(0, []*sim.CoflowState{cs})
 
 	a.OnControlFault(0.9, faults.Event{Kind: faults.CtrlDelay, Duration: 1.5})
@@ -90,7 +56,7 @@ func TestDelaySuspendsWithoutConsumingSlot(t *testing.T) {
 	if a.Refresh(1.0, []*sim.CoflowState{cs}) || a.Refresh(2.0, []*sim.CoflowState{cs}) {
 		t.Fatal("round during control-plane delay should not run")
 	}
-	obs, _ := a.Coflow(cs.Coflow.ID)
+	obs, _ := a.Coflow(cs)
 	if obs.Bytes != 100 {
 		t.Fatalf("Bytes = %v, want pre-fault 100 during suspension", obs.Bytes)
 	}
@@ -99,7 +65,7 @@ func TestDelaySuspendsWithoutConsumingSlot(t *testing.T) {
 	if !a.Refresh(2.5, []*sim.CoflowState{cs}) {
 		t.Fatal("first round after the delay deadline should run")
 	}
-	obs, _ = a.Coflow(cs.Coflow.ID)
+	obs, _ = a.Coflow(cs)
 	if obs.Bytes != 700 {
 		t.Fatalf("Bytes = %v, want 700 after suspension lifted", obs.Bytes)
 	}
@@ -108,9 +74,10 @@ func TestDelaySuspendsWithoutConsumingSlot(t *testing.T) {
 func TestStaleHostServesPreviousRound(t *testing.T) {
 	a := New(1.0)
 	// Two coflows under two jobs with head receivers on hosts 1 and 5.
-	c1 := mkCoflowStateAt(t, 1, 100, 1)
-	c2 := mkCoflowStateAt(t, 2, 200, 5)
-	all := []*sim.CoflowState{c1, c2}
+	all := activate(a, mkJob(t, 1, 1, 1), mkJob(t, 2, 1, 5))
+	c1, c2 := all[0], all[1]
+	c1.BytesSent, c1.Job.BytesSent = 100, 100
+	c2.BytesSent, c2.Job.BytesSent = 200, 200
 	a.Refresh(0, all)
 
 	// Host 1 (c1's head receiver) goes stale until t=3.
@@ -121,15 +88,15 @@ func TestStaleHostServesPreviousRound(t *testing.T) {
 	if !a.Refresh(1.0, all) {
 		t.Fatal("round should run; only host 1's reports are lost")
 	}
-	o1, _ := a.Coflow(c1.Coflow.ID)
-	o2, _ := a.Coflow(c2.Coflow.ID)
+	o1, _ := a.Coflow(c1)
+	o2, _ := a.Coflow(c2)
 	if o1.Bytes != 100 {
 		t.Fatalf("stale coflow Bytes = %v, want previous-round 100", o1.Bytes)
 	}
 	if o2.Bytes != 2222 {
 		t.Fatalf("healthy coflow Bytes = %v, want fresh 2222", o2.Bytes)
 	}
-	j1, ok := a.Job(1)
+	j1, ok := a.Job(c1.Job)
 	if !ok || j1.Bytes != 100 {
 		t.Fatalf("stale job obs = %+v ok=%v, want previous-round Bytes 100", j1, ok)
 	}
@@ -139,7 +106,7 @@ func TestStaleHostServesPreviousRound(t *testing.T) {
 	if !a.Refresh(3.5, all) {
 		t.Fatal("round after staleness expiry should run")
 	}
-	o1, _ = a.Coflow(c1.Coflow.ID)
+	o1, _ = a.Coflow(c1)
 	if o1.Bytes != 1500 {
 		t.Fatalf("recovered coflow Bytes = %v, want 1500", o1.Bytes)
 	}
@@ -149,24 +116,24 @@ func TestStaleHostWithNoPriorRound(t *testing.T) {
 	// A coflow whose head receiver was stale from the start has never
 	// reported: readers must see it as unknown, not as zero.
 	a := New(1.0)
-	cs := mkCoflowStateAt(t, 1, 100, 1)
+	cs := mkCoflowStateAt(t, a, 1, 100, 1)
 	a.OnControlFault(0, faults.Event{Kind: faults.CtrlStaleHost, Host: 1, Duration: 10})
 	a.Refresh(0.5, []*sim.CoflowState{cs})
-	if _, ok := a.Coflow(cs.Coflow.ID); ok {
+	if _, ok := a.Coflow(cs); ok {
 		t.Fatal("never-reported coflow should stay unknown while its host is stale")
 	}
 }
 
 func TestNonControlFaultIgnored(t *testing.T) {
 	a := New(1.0)
-	cs := mkCoflowState(t, 1, 100)
+	cs := mkCoflowState(t, a, 1, 100)
 	a.Refresh(0, []*sim.CoflowState{cs})
 	a.OnControlFault(0.5, faults.Event{Kind: faults.LinkDown, Link: 3})
 	cs.BytesSent = 400
 	if !a.Refresh(1.0, []*sim.CoflowState{cs}) {
 		t.Fatal("data-plane fault kinds must not perturb the aggregator")
 	}
-	obs, _ := a.Coflow(cs.Coflow.ID)
+	obs, _ := a.Coflow(cs)
 	if obs.Bytes != 400 {
 		t.Fatalf("Bytes = %v, want 400", obs.Bytes)
 	}

@@ -67,17 +67,27 @@ func (h Histogram) Observe(v float64) {
 		return
 	}
 	h.h.count++
+	h.h.buckets[bucketOf(v)]++
+}
+
+// bucketOf returns the bucket of one sample: 0 for v <= 1 (and NaN), the
+// smallest i with v <= 2^i up to 2^(histBuckets-1), else the overflow slot
+// histBuckets. One Frexp finds i: v = frac·2^exp with frac in [0.5, 1), so
+// 2^(exp-1) <= v < 2^exp, and v is itself the bound 2^(exp-1) exactly when
+// frac is 0.5.
+func bucketOf(v float64) int {
 	if !(v > 1) { // v <= 1, NaN, negative
-		h.h.buckets[0]++
-		return
+		return 0
 	}
-	for i := 1; i < histBuckets; i++ {
-		if v <= math.Ldexp(1, i) {
-			h.h.buckets[i]++
-			return
-		}
+	if math.IsInf(v, 1) {
+		return histBuckets
 	}
-	h.h.buckets[histBuckets]++
+	frac, exp := math.Frexp(v)
+	//lint:ignore floatcmp Frexp returns exactly 0.5 for a power of two, the one case that sits on a bound
+	if frac == 0.5 {
+		exp--
+	}
+	return min(exp, histBuckets)
 }
 
 // Observe records one sample into the named histogram; see Histogram.Observe.

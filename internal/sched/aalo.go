@@ -74,7 +74,11 @@ var _ sim.Scheduler = (*Aalo)(nil)
 func (*Aalo) Name() string { return "aalo" }
 
 // Init implements sim.Scheduler.
-func (*Aalo) Init(sim.Env) {}
+func (a *Aalo) Init(env sim.Env) {
+	if a.agg != nil {
+		a.agg.Init(env)
+	}
+}
 
 // OnJobArrival implements sim.Scheduler.
 func (*Aalo) OnJobArrival(*sim.JobState) {}
@@ -140,7 +144,7 @@ func (a *Aalo) AssignQueues(now float64, flows, added, dirty []*sim.FlowState) [
 // targetQueue maps a flow's coflow observation to a queue; coflows not yet
 // seen by a coordination round keep the highest priority.
 func (a *Aalo) targetQueue(f *sim.FlowState) int {
-	obs, ok := a.agg.Coflow(f.Coflow.Coflow.ID)
+	obs, ok := a.agg.Coflow(f.Coflow)
 	if !ok {
 		return 0
 	}
@@ -154,7 +158,7 @@ func (a *Aalo) DecisionScore(f *sim.FlowState) (float64, bool) {
 	if a.agg == nil {
 		return f.Coflow.BytesSent, true
 	}
-	obs, ok := a.agg.Coflow(f.Coflow.Coflow.ID)
+	obs, ok := a.agg.Coflow(f.Coflow)
 	if !ok {
 		return 0, false
 	}

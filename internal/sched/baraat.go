@@ -3,7 +3,6 @@ package sched
 import (
 	"sort"
 
-	"gurita/internal/coflow"
 	"gurita/internal/sim"
 )
 
@@ -52,25 +51,22 @@ type Baraat struct {
 
 	// fifo holds active jobs in arrival order (the simulator delivers
 	// arrivals in time order; ties were already broken by job ID).
-	fifo  []*sim.JobState
-	heavy map[coflow.JobID]bool
+	fifo []*sim.JobState
+
+	// heavy marks the active jobs declared heavy, and rank holds each light
+	// active job's FIFO position as of the last call; both are indexed by
+	// JobState.Index and sized once in Init.
+	heavy []bool
+	rank  []int
 
 	// completedSizes is kept sorted for quantile lookups.
 	completedSizes []float64
-
-	// rank is per-call scratch (light jobs' FIFO positions), persistent to
-	// avoid rebuilding a map on every event.
-	rank map[coflow.JobID]int
 }
 
 // NewBaraat builds a Baraat scheduler.
 func NewBaraat(cfg BaraatConfig) *Baraat {
 	cfg.applyDefaults()
-	return &Baraat{
-		cfg:   cfg,
-		heavy: make(map[coflow.JobID]bool),
-		rank:  make(map[coflow.JobID]int),
-	}
+	return &Baraat{cfg: cfg}
 }
 
 var _ sim.Scheduler = (*Baraat)(nil)
@@ -79,7 +75,11 @@ var _ sim.Scheduler = (*Baraat)(nil)
 func (*Baraat) Name() string { return "baraat" }
 
 // Init implements sim.Scheduler.
-func (b *Baraat) Init(env sim.Env) { b.env = env }
+func (b *Baraat) Init(env sim.Env) {
+	b.env = env
+	b.heavy = make([]bool, env.Jobs)
+	b.rank = make([]int, env.Jobs)
+}
 
 // OnJobArrival implements sim.Scheduler.
 func (b *Baraat) OnJobArrival(j *sim.JobState) {
@@ -100,7 +100,7 @@ func (b *Baraat) OnJobComplete(j *sim.JobState) {
 			break
 		}
 	}
-	delete(b.heavy, j.Job.ID)
+	b.heavy[j.Index()] = false
 	// Record the completed size for the heavy-threshold quantile.
 	size := j.BytesSent
 	i := sort.SearchFloat64s(b.completedSizes, size)
@@ -124,20 +124,20 @@ func (b *Baraat) heavyThreshold() float64 {
 // AssignQueues implements sim.Scheduler. A job's FIFO rank and heavy mark
 // depend on continuously advancing byte counters, so targets are recomputed
 // every call; changed flows are found with a compare-and-set sweep (no
-// allocation — the rank scratch map persists across calls).
+// allocation — the rank and heavy tables persist across calls).
 func (b *Baraat) AssignQueues(_ float64, flows, added, dirty []*sim.FlowState) []*sim.FlowState {
 	threshold := b.heavyThreshold()
 	lowest := b.env.Queues - 1
 
 	// Update heavy marks and compute each light job's FIFO rank.
-	clear(b.rank)
 	r := 0
 	for _, j := range b.fifo {
-		if b.heavy[j.Job.ID] || j.BytesSent > threshold {
-			b.heavy[j.Job.ID] = true
+		i := j.Index()
+		if b.heavy[i] || j.BytesSent > threshold {
+			b.heavy[i] = true
 			continue
 		}
-		b.rank[j.Job.ID] = r
+		b.rank[i] = r
 		r++
 	}
 
@@ -156,13 +156,9 @@ func (b *Baraat) AssignQueues(_ float64, flows, added, dirty []*sim.FlowState) [
 // targetQueue is the FIFO-LM queue for one flow's job under the current
 // ranks and heavy marks.
 func (b *Baraat) targetQueue(f *sim.FlowState, lowest int) int {
-	id := f.Coflow.Job.Job.ID
-	if b.heavy[id] {
+	i := f.Coflow.Job.Index()
+	if b.heavy[i] {
 		return lowest
 	}
-	q := b.rank[id]
-	if q > lowest {
-		q = lowest
-	}
-	return q
+	return min(b.rank[i], lowest)
 }

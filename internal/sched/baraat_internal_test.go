@@ -21,12 +21,11 @@ func TestBaraatHeavyThresholdQuantile(t *testing.T) {
 	}
 
 	// Feed completed jobs of sizes 10, 20, 30, 40 via OnJobComplete.
+	states := initBaraat(t, b, 0, 1, 2, 3)
 	for i, size := range []float64{30, 10, 40, 20} {
-		js := &sim.JobState{
-			Job:       mustJob(t, coflow.JobID(i)),
-			BytesSent: size,
-		}
-		b.OnJobComplete(js)
+		states[i].BytesSent = size
+		b.OnJobArrival(states[i])
+		b.OnJobComplete(states[i])
 	}
 	// completedSizes sorted: [10 20 30 40]; quantile 0.5 → index 2 → 30.
 	if got := b.heavyThreshold(); got != 30 {
@@ -35,8 +34,11 @@ func TestBaraatHeavyThresholdQuantile(t *testing.T) {
 
 	// Quantile index clamps at the top.
 	b2 := NewBaraat(BaraatConfig{HeavyQuantile: 0.99, MinSamples: 1})
+	states = initBaraat(t, b2, 10, 11)
 	for i, size := range []float64{5, 15} {
-		b2.OnJobComplete(&sim.JobState{Job: mustJob(t, coflow.JobID(10+i)), BytesSent: size})
+		states[i].BytesSent = size
+		b2.OnJobArrival(states[i])
+		b2.OnJobComplete(states[i])
 	}
 	if got := b2.heavyThreshold(); got != 15 {
 		t.Fatalf("p99 threshold = %v, want 15 (clamped to max)", got)
@@ -47,9 +49,8 @@ func TestBaraatHeavyThresholdQuantile(t *testing.T) {
 // move up in rank (and therefore priority).
 func TestBaraatFIFOShrinks(t *testing.T) {
 	b := NewBaraat(BaraatConfig{})
-	b.Init(sim.Env{Queues: 4})
-	j1 := &sim.JobState{Job: mustJob(t, 1)}
-	j2 := &sim.JobState{Job: mustJob(t, 2)}
+	states := initBaraat(t, b, 1, 2)
+	j1, j2 := states[0], states[1]
 	b.OnJobArrival(j1)
 	b.OnJobArrival(j2)
 
@@ -79,12 +80,25 @@ func mustJob(t *testing.T, id coflow.JobID) *coflow.Job {
 	return j
 }
 
+// initBaraat builds one single-flow job per ID through sim.BuildStates (one
+// dense index per state) and sizes b's tables for them with four queues.
+func initBaraat(t *testing.T, b *Baraat, ids ...coflow.JobID) []*sim.JobState {
+	t.Helper()
+	var jobs []*coflow.Job
+	for _, id := range ids {
+		jobs = append(jobs, mustJob(t, id))
+	}
+	states := sim.BuildStates(jobs)
+	b.Init(sim.Env{Queues: 4, Jobs: len(states), Coflows: len(states)})
+	return states
+}
+
+// mkFlow starts the job's only flow and marks its coflow active.
 func mkFlow(t *testing.T, js *sim.JobState) *sim.FlowState {
 	t.Helper()
-	cs := &sim.CoflowState{Coflow: js.Job.Coflows[0], Job: js, Phase: sim.PhaseActive}
-	fs := &sim.FlowState{Flow: js.Job.Coflows[0].Flows[0], Coflow: cs}
+	cs := js.Coflows[0]
+	cs.Phase = sim.PhaseActive
+	fs := cs.Flows[0]
 	fs.MarkStarted(0)
-	cs.Flows = []*sim.FlowState{fs}
-	js.Coflows = []*sim.CoflowState{cs}
 	return fs
 }

@@ -42,6 +42,10 @@ type MCS struct {
 	thresholds []float64
 	agg        *hr.Aggregator
 	active     []*sim.CoflowState
+	// target holds each active coflow's queue under the current snapshot,
+	// indexed by CoflowState.Index; it is recomputed once per reporting
+	// round.
+	target []int
 }
 
 // NewMCS builds an MCS scheduler for the given number of queues.
@@ -60,7 +64,10 @@ var _ sim.Scheduler = (*MCS)(nil)
 func (*MCS) Name() string { return "mcs" }
 
 // Init implements sim.Scheduler.
-func (*MCS) Init(sim.Env) {}
+func (m *MCS) Init(env sim.Env) {
+	m.agg.Init(env)
+	m.target = make([]int, env.Coflows)
+}
 
 // OnJobArrival implements sim.Scheduler.
 func (*MCS) OnJobArrival(*sim.JobState) {}
@@ -90,8 +97,11 @@ func (*MCS) OnJobComplete(*sim.JobState) {}
 // assigning.
 func (m *MCS) AssignQueues(now float64, flows, added, dirty []*sim.FlowState) []*sim.FlowState {
 	if m.agg.Refresh(now, m.active) {
+		for _, cs := range m.active {
+			m.target[cs.Index()] = m.targetQueue(cs)
+		}
 		for _, f := range flows {
-			if q := m.targetQueue(f); q != f.Queue() {
+			if q := m.target[f.Coflow.Index()]; q != f.Queue() {
 				f.SetQueue(q)
 				dirty = append(dirty, f)
 			}
@@ -99,15 +109,15 @@ func (m *MCS) AssignQueues(now float64, flows, added, dirty []*sim.FlowState) []
 		return dirty
 	}
 	for _, f := range added {
-		f.SetQueue(m.targetQueue(f))
+		f.SetQueue(m.targetQueue(f.Coflow))
 	}
 	return dirty
 }
 
-// targetQueue maps a flow's coflow observation to a queue; coflows not yet
-// seen by a reporting round start at the highest priority.
-func (m *MCS) targetQueue(f *sim.FlowState) int {
-	obs, ok := m.agg.Coflow(f.Coflow.Coflow.ID)
+// targetQueue maps a coflow's observation to a queue; coflows not yet seen
+// by a reporting round start at the highest priority.
+func (m *MCS) targetQueue(cs *sim.CoflowState) int {
+	obs, ok := m.agg.Coflow(cs)
 	if !ok {
 		return 0
 	}

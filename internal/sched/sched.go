@@ -10,10 +10,7 @@
 // switch priority queues.
 package sched
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // DefaultBaseThreshold is the first demotion threshold: 10 MB, the starting
 // queue threshold recommended by Aalo and adopted by the paper's
@@ -45,7 +42,15 @@ func ExpThresholds(base, factor float64, queues int) ([]float64, error) {
 // QueueFor maps an accumulated byte count to a priority queue given sorted
 // thresholds: bytes ≤ thresholds[k] lands in queue k; beyond the last
 // threshold lands in the lowest queue len(thresholds).
+//
+// Thresholds are few (queues-1 ≤ 7), so a linear scan beats a binary
+// search. The scan stops at the first k with thresholds[k] >= bytes — the
+// same predicate sort.SearchFloat64s bisects on, so the two agree on every
+// input, NaN (which lands in the lowest queue) included.
 func QueueFor(bytes float64, thresholds []float64) int {
-	// Thresholds are few (queues-1 ≤ 7); binary search via sort for clarity.
-	return sort.SearchFloat64s(thresholds, bytes)
+	k := 0
+	for k < len(thresholds) && !(thresholds[k] >= bytes) {
+		k++
+	}
+	return k
 }

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"gurita/internal/coflow"
@@ -55,6 +56,27 @@ func TestQueueFor(t *testing.T) {
 	}
 	if got := QueueFor(42, nil); got != 0 {
 		t.Errorf("QueueFor with no thresholds = %d, want 0", got)
+	}
+}
+
+// TestQueueForMatchesBinarySearch: the linear scan agrees with
+// sort.SearchFloat64s for 1–8 queues on every threshold, one ulp either
+// side of it, and the edge values 0, negatives, NaN and ±Inf.
+func TestQueueForMatchesBinarySearch(t *testing.T) {
+	for queues := 1; queues <= 8; queues++ {
+		th, err := ExpThresholds(DefaultBaseThreshold, DefaultThresholdFactor, queues)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vals := []float64{0, math.Copysign(0, -1), -1, -1e18, math.NaN(), math.Inf(1), math.Inf(-1)}
+		for _, v := range th {
+			vals = append(vals, v, math.Nextafter(v, 0), math.Nextafter(v, math.Inf(1)))
+		}
+		for _, v := range vals {
+			if got, want := QueueFor(v, th), sort.SearchFloat64s(th, v); got != want {
+				t.Errorf("%d queues: QueueFor(%v) = %d, sort.SearchFloat64s gives %d", queues, v, got, want)
+			}
+		}
 	}
 }
 

@@ -42,6 +42,9 @@ type Stream struct {
 	thresholds []float64
 	agg        *hr.Aggregator
 	active     []*sim.CoflowState
+	// target holds each active job's queue under the current snapshot,
+	// indexed by JobState.Index; it is recomputed once per reporting round.
+	target []int
 }
 
 // NewStream builds a Stream scheduler for the given number of queues.
@@ -60,7 +63,10 @@ var _ sim.Scheduler = (*Stream)(nil)
 func (*Stream) Name() string { return "stream" }
 
 // Init implements sim.Scheduler.
-func (s *Stream) Init(sim.Env) {}
+func (s *Stream) Init(env sim.Env) {
+	s.agg.Init(env)
+	s.target = make([]int, env.Jobs)
+}
 
 // OnJobArrival implements sim.Scheduler.
 func (*Stream) OnJobArrival(*sim.JobState) {}
@@ -89,8 +95,11 @@ func (*Stream) OnJobComplete(*sim.JobState) {}
 // admitted flows need assigning.
 func (s *Stream) AssignQueues(now float64, flows, added, dirty []*sim.FlowState) []*sim.FlowState {
 	if s.agg.Refresh(now, s.active) {
+		for _, cs := range s.active {
+			s.target[cs.Job.Index()] = s.targetQueue(cs.Job)
+		}
 		for _, f := range flows {
-			if q := s.targetQueue(f); q != f.Queue() {
+			if q := s.target[f.Coflow.Job.Index()]; q != f.Queue() {
 				f.SetQueue(q)
 				dirty = append(dirty, f)
 			}
@@ -98,15 +107,15 @@ func (s *Stream) AssignQueues(now float64, flows, added, dirty []*sim.FlowState)
 		return dirty
 	}
 	for _, f := range added {
-		f.SetQueue(s.targetQueue(f))
+		f.SetQueue(s.targetQueue(f.Coflow.Job))
 	}
 	return dirty
 }
 
-// targetQueue maps a flow's job TBS observation to a queue; jobs not yet
-// seen by a reporting round start at the highest priority.
-func (s *Stream) targetQueue(f *sim.FlowState) int {
-	obs, ok := s.agg.Job(f.Coflow.Job.Job.ID)
+// targetQueue maps a job's TBS observation to a queue; jobs not yet seen by
+// a reporting round start at the highest priority.
+func (s *Stream) targetQueue(js *sim.JobState) int {
+	obs, ok := s.agg.Job(js)
 	if !ok {
 		return 0
 	}
@@ -116,7 +125,7 @@ func (s *Stream) targetQueue(f *sim.FlowState) int {
 // DecisionScore implements sim.DecisionScorer: the job's aggregated TBS
 // bytes as of the last reporting round, the scalar targetQueue thresholds.
 func (s *Stream) DecisionScore(f *sim.FlowState) (float64, bool) {
-	obs, ok := s.agg.Job(f.Coflow.Job.Job.ID)
+	obs, ok := s.agg.Job(f.Coflow.Job)
 	if !ok {
 		return 0, false
 	}

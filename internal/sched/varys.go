@@ -1,11 +1,7 @@
 package sched
 
 import (
-	"sort"
-
-	"gurita/internal/coflow"
 	"gurita/internal/sim"
-	"gurita/internal/topo"
 )
 
 // Varys is the clairvoyant Smallest-Effective-Bottleneck-First scheduler of
@@ -21,29 +17,43 @@ import (
 // and serves smallest Γ first. Within our priority data plane, the i-th
 // smallest-Γ active coflow is assigned queue min(i, K−1).
 type Varys struct {
-	env    sim.Env
-	active []*sim.CoflowState
+	env sim.Env
 
-	// Per-call scratch, persistent so AssignQueues allocates nothing in
-	// steady state.
-	order   []sebfRank
-	queueOf map[coflow.CoflowID]int
-	perPort map[topo.ServerID]float64
+	// order lists the active coflows in the previous call's SEBF order. Γ
+	// moves little between calls, so re-sorting it by insertion is close to
+	// linear.
+	order []sebfRank
+
+	// Per-call scratch, sized once in Init so AssignQueues allocates
+	// nothing: queueOf is each active coflow's queue (by CoflowState.Index),
+	// portLoad the remaining bytes per NIC port — ingress ports 0..n-1,
+	// egress ports n..2n-1 for n servers, as a server's NIC is full duplex —
+	// and touched the ports one gamma call wrote.
+	queueOf  []int
+	portLoad []float64
+	touched  []int32
 }
 
 // sebfRank pairs a coflow with its effective bottleneck for sorting.
 type sebfRank struct {
-	id    coflow.CoflowID
+	cs    *sim.CoflowState
 	gamma float64
 }
 
-// NewVarys builds the SEBF oracle scheduler.
-func NewVarys() *Varys {
-	return &Varys{
-		queueOf: make(map[coflow.CoflowID]int),
-		perPort: make(map[topo.ServerID]float64),
+// less is the SEBF order: smaller Γ first, ties broken by coflow ID, which
+// makes the order total.
+func (r sebfRank) less(o sebfRank) bool {
+	if r.gamma < o.gamma {
+		return true
 	}
+	if r.gamma > o.gamma {
+		return false
+	}
+	return r.cs.Coflow.ID < o.cs.Coflow.ID
 }
+
+// NewVarys builds the SEBF oracle scheduler.
+func NewVarys() *Varys { return &Varys{} }
 
 var _ sim.Scheduler = (*Varys)(nil)
 
@@ -51,21 +61,25 @@ var _ sim.Scheduler = (*Varys)(nil)
 func (*Varys) Name() string { return "varys" }
 
 // Init implements sim.Scheduler.
-func (v *Varys) Init(env sim.Env) { v.env = env }
+func (v *Varys) Init(env sim.Env) {
+	v.env = env
+	v.queueOf = make([]int, env.Coflows)
+	v.portLoad = make([]float64, 2*env.Topo.NumServers())
+}
 
 // OnJobArrival implements sim.Scheduler.
 func (*Varys) OnJobArrival(*sim.JobState) {}
 
 // OnCoflowStart implements sim.Scheduler.
 func (v *Varys) OnCoflowStart(c *sim.CoflowState) {
-	v.active = append(v.active, c)
+	v.order = append(v.order, sebfRank{cs: c})
 }
 
 // OnCoflowComplete implements sim.Scheduler.
 func (v *Varys) OnCoflowComplete(c *sim.CoflowState) {
-	for i, x := range v.active {
-		if x == c {
-			v.active = append(v.active[:i], v.active[i+1:]...)
+	for i, x := range v.order {
+		if x.cs == c {
+			v.order = append(v.order[:i], v.order[i+1:]...)
 			break
 		}
 	}
@@ -75,24 +89,24 @@ func (v *Varys) OnCoflowComplete(c *sim.CoflowState) {
 func (*Varys) OnJobComplete(*sim.JobState) {}
 
 // gamma computes the effective bottleneck time of a coflow from exact
-// remaining bytes (clairvoyance).
+// remaining bytes (clairvoyance). Each port's load is summed in flow order.
 func (v *Varys) gamma(c *sim.CoflowState) float64 {
-	clear(v.perPort)
+	egress := int32(len(v.portLoad) / 2)
 	for _, f := range c.Flows {
 		if f.Done {
 			continue
 		}
-		v.perPort[f.Flow.Src] += f.Remaining
-		// Egress ports tracked separately from ingress by offsetting; a
-		// server's NIC is full duplex.
-		v.perPort[-1-f.Flow.Dst] += f.Remaining
+		v.addLoad(int32(f.Flow.Src), f.Remaining)
+		v.addLoad(egress+int32(f.Flow.Dst), f.Remaining)
 	}
 	worst := 0.0
-	for _, bytes := range v.perPort {
-		if bytes > worst {
+	for _, p := range v.touched {
+		if bytes := v.portLoad[p]; bytes > worst {
 			worst = bytes
 		}
+		v.portLoad[p] = 0
 	}
+	v.touched = v.touched[:0]
 	cap := v.env.Topo.LinkCapacity(0)
 	if cap <= 0 {
 		return worst
@@ -100,38 +114,44 @@ func (v *Varys) gamma(c *sim.CoflowState) float64 {
 	return worst / cap
 }
 
+// addLoad adds bytes to a port's load, recording the port the first time
+// it is written (a port can be recorded twice only if it held exactly 0
+// bytes in between, which is harmless).
+func (v *Varys) addLoad(p int32, bytes float64) {
+	if v.portLoad[p] == 0 {
+		v.touched = append(v.touched, p)
+	}
+	v.portLoad[p] += bytes
+}
+
 // AssignQueues implements sim.Scheduler. Γ shrinks continuously with
 // remaining bytes, so the SEBF order is re-derived every call; changed flows
 // are found with a compare-and-set sweep.
 func (v *Varys) AssignQueues(_ float64, flows, added, dirty []*sim.FlowState) []*sim.FlowState {
-	order := v.order[:0]
-	for _, c := range v.active {
-		order = append(order, sebfRank{c.Coflow.ID, v.gamma(c)})
+	order := v.order
+	for i := range order {
+		order[i].gamma = v.gamma(order[i].cs)
 	}
-	sort.Slice(order, func(a, b int) bool {
-		if order[a].gamma < order[b].gamma {
-			return true
+	// Insertion sort: the comparator is total, so the result is the one
+	// sorted order whatever the algorithm, and the previous call's order
+	// makes this pass nearly linear.
+	for i := 1; i < len(order); i++ {
+		r := order[i]
+		j := i
+		for ; j > 0 && r.less(order[j-1]); j-- {
+			order[j] = order[j-1]
 		}
-		if order[a].gamma > order[b].gamma {
-			return false
-		}
-		return order[a].id < order[b].id // deterministic tie-break
-	})
+		order[j] = r
+	}
 	lowest := v.env.Queues - 1
-	clear(v.queueOf)
 	for i, r := range order {
-		q := i
-		if q > lowest {
-			q = lowest
-		}
-		v.queueOf[r.id] = q
+		v.queueOf[r.cs.Index()] = min(i, lowest)
 	}
-	v.order = order[:0]
 	for _, f := range added {
-		f.SetQueue(v.queueOf[f.Coflow.Coflow.ID])
+		f.SetQueue(v.queueOf[f.Coflow.Index()])
 	}
 	for _, f := range flows {
-		if q := v.queueOf[f.Coflow.Coflow.ID]; q != f.Queue() {
+		if q := v.queueOf[f.Coflow.Index()]; q != f.Queue() {
 			f.SetQueue(q)
 			dirty = append(dirty, f)
 		}

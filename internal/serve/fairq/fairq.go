@@ -46,10 +46,14 @@ type Config struct {
 	// Queues is the priority-queue count handed to the policy via sim.Env,
 	// mirroring the simulator's switch queues. Default 4.
 	Queues int
-	// Policy is the scheduling policy driving dispatch order. Any
-	// sim.Scheduler works — it sees tenants as coflows and waiting trials as
-	// flows — but policies keyed on observable service (CoflowState.BytesSent)
-	// are the ones that produce tenant fairness. Default: NewWeightedFair().
+	// Policy is the scheduling policy driving dispatch order. It sees
+	// tenants as coflows and waiting trials as flows; policies keyed on
+	// observable service (CoflowState.BytesSent) are the ones that produce
+	// tenant fairness. Default: NewWeightedFair(). The tenant set is open,
+	// so the queue builds its states by hand and passes no population in
+	// sim.Env: only policies that keep no per-job or per-coflow tables work
+	// here (WeightedFair, PFS, Aalo with live coordination). The others
+	// size such tables from Env.Jobs and Env.Coflows in Init.
 	Policy sim.Scheduler
 	// OnGrant, when non-nil, observes each grant (tenant ID, in grant order)
 	// synchronously under the queue lock. Instrumentation only: it must be

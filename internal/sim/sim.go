@@ -51,7 +51,7 @@ type FlowState struct {
 
 	// Handle is the flow's slab identity: a stable dense index assigned at
 	// construction (see Index). The zero Handle means the state was built by
-	// hand outside the engine (scheduler unit tests, alternative frontends).
+	// hand outside both the engine and BuildStates.
 	Handle slab.Handle
 
 	// Demand carries the path, the priority queue assigned by the scheduler,
@@ -74,10 +74,14 @@ type FlowState struct {
 // "open connection" from the receiver's perspective).
 func (f *FlowState) Active() bool { return f.started && !f.Done }
 
-// Index returns the flow's dense slab index: engine-built states are
-// numbered 0..n-1 in construction order (job, then coflow, then flow order
-// — deterministic), so schedulers and instrumentation can use it to key
-// O(1) side arrays instead of maps. Hand-built states all report 0.
+// Index returns the flow's dense slab index: states built by the engine or
+// by BuildStates are numbered 0..n-1 per type in construction order (job,
+// then coflow, then flow order — deterministic), so schedulers and
+// instrumentation key O(1) side arrays with it instead of maps. Job and
+// coflow indices are below Env.Jobs and Env.Coflows, which is what lets a
+// policy size its tables once in Init. States built by hand (a struct
+// literal, no Handle) all report 0 and so alias one another in those
+// tables: build test states with BuildStates.
 func (f *FlowState) Index() int32 { return f.Handle.Index() }
 
 // MarkStarted records that the flow was admitted into the network at the
@@ -193,10 +197,22 @@ type Env struct {
 	Queues int
 	// Now returns the current simulation time; valid for the whole run.
 	Now func() float64
+	// Jobs and Coflows bound the dense state indices of the run: every
+	// JobState.Index() is below Jobs and every CoflowState.Index() below
+	// Coflows. Policies size their per-job and per-coflow tables from them
+	// once, in Init; the population never grows during a run.
+	Jobs    int
+	Coflows int
 }
 
 // Scheduler is a scheduling policy. The engine calls the On* notifications
 // as the workload unfolds and AssignQueues before every rate allocation.
+//
+// Every flow in flows and added belongs to a coflow that OnCoflowStart has
+// announced and OnCoflowComplete has not yet retired, and to a job between
+// OnJobArrival and OnJobComplete; policies rely on that to read per-coflow
+// and per-job tables (keyed by Index, sized from Env) without a presence
+// check.
 //
 // AssignQueues sets priority queues (Demand.Queue, 0 = highest): it must
 // assign a queue to every flow in added — the flows admitted since the
@@ -449,16 +465,11 @@ type Simulator struct {
 	queue eventq.Queue
 	now   float64
 
-	// State slabs: every JobState/CoflowState/FlowState the engine builds
-	// lives in one of these (contiguous chunks, stable addresses — the
-	// pointers handed to schedulers stay valid for the run), and each state
-	// carries its slab handle as the dense identity side arrays key on.
-	jobSlab    *slab.Slab[JobState]
-	coflowSlab *slab.Slab[CoflowState]
-	flowSlab   *slab.Slab[FlowState]
-
-	jobs   []*JobState
-	active []*FlowState
+	// jobs are built by buildStates; coflows counts their coflow states
+	// (Env.Coflows).
+	jobs    []*JobState
+	coflows int
+	active  []*FlowState
 	// added collects flows admitted since the last AssignQueues call; dirty
 	// is the reusable buffer handed to the scheduler for change reports.
 	added []*FlowState
@@ -606,56 +617,19 @@ func New(cfg Config, sched Scheduler, jobs []*coflow.Job) (*Simulator, error) {
 		}
 	}
 
-	// The workload's population is known up front, so each slab's first
-	// chunk holds everything: states of one type are contiguous in memory,
-	// numbered densely in construction order (jobs, then each job's coflows,
-	// then each coflow's flows — the deterministic workload order).
-	s.jobSlab = slab.New[JobState](len(jobs))
-	s.coflowSlab = slab.New[CoflowState](len(coflowIDs))
-	s.flowSlab = slab.New[FlowState](len(flowIDs))
-	if s.taskDeps {
-		s.dependents = make([][]*FlowState, len(flowIDs))
-		s.feedersLeft = make([]int32, len(flowIDs))
-	}
 	for _, j := range jobs {
 		if j.Arrival < 0 {
 			return nil, fmt.Errorf("sim: job %d has negative arrival %v", j.ID, j.Arrival)
 		}
-		jh, js := s.jobSlab.Alloc()
-		*js = JobState{
-			Job:              j,
-			Handle:           jh,
-			RemainingCoflows: len(j.Coflows),
-			stageLeft:        make([]int, j.NumStages),
-		}
-		for _, c := range j.Coflows {
-			ch, cs := s.coflowSlab.Alloc()
-			*cs = CoflowState{
-				Coflow:          c,
-				Job:             js,
-				Handle:          ch,
-				Phase:           PhaseWaiting,
-				PendingChildren: len(c.Children),
-				RemainingFlows:  len(c.Flows),
-			}
-			for _, fl := range c.Flows {
-				fh, fs := s.flowSlab.Alloc()
-				*fs = FlowState{
-					Flow:      fl,
-					Coflow:    cs,
-					Handle:    fh,
-					Remaining: float64(fl.Size),
-					activeIdx: -1,
-				}
-				cs.Flows = append(cs.Flows, fs)
-			}
-			js.Coflows = append(js.Coflows, cs)
-			js.stageLeft[c.Stage-1]++
-		}
-		if s.taskDeps {
+	}
+	s.jobs = buildStates(jobs, len(coflowIDs), len(flowIDs))
+	s.coflows = len(coflowIDs)
+	if s.taskDeps {
+		s.dependents = make([][]*FlowState, len(flowIDs))
+		s.feedersLeft = make([]int32, len(flowIDs))
+		for _, js := range s.jobs {
 			s.wireTaskDependencies(js)
 		}
-		s.jobs = append(s.jobs, js)
 	}
 	// Fault events are scheduled before arrivals: at equal timestamps the
 	// queue's FIFO tie-break then fires faults first — ahead of arrivals
@@ -685,6 +659,72 @@ func New(cfg Config, sched Scheduler, jobs []*coflow.Job) (*Simulator, error) {
 	return s, nil
 }
 
+// BuildStates builds waiting runtime states for jobs the way New does, each
+// with a distinct dense handle: job, coflow and flow indices count up from
+// 0 in workload order. It is for drivers that exercise a Scheduler outside
+// the engine (unit tests, alternative frontends); pair it with
+// Env{Jobs: len(states), Coflows: <total coflows>} at Init. Jobs must be
+// valid DAGs (coflow.Builder output) with unique IDs; BuildStates does not
+// re-check them.
+func BuildStates(jobs []*coflow.Job) []*JobState {
+	coflows, flows := 0, 0
+	for _, j := range jobs {
+		coflows += len(j.Coflows)
+		for _, c := range j.Coflows {
+			flows += len(c.Flows)
+		}
+	}
+	return buildStates(jobs, coflows, flows)
+}
+
+// buildStates is the construction loop shared by New and BuildStates. The
+// population is known up front, so each slab's first chunk holds every
+// state of its type: states are contiguous in memory (stable addresses —
+// the pointers handed to schedulers stay valid for the run) and numbered
+// densely in construction order (jobs, then each job's coflows, then each
+// coflow's flows — the deterministic workload order).
+func buildStates(jobs []*coflow.Job, coflows, flows int) []*JobState {
+	jobSlab := slab.New[JobState](len(jobs))
+	coflowSlab := slab.New[CoflowState](coflows)
+	flowSlab := slab.New[FlowState](flows)
+	out := make([]*JobState, 0, len(jobs))
+	for _, j := range jobs {
+		jh, js := jobSlab.Alloc()
+		*js = JobState{
+			Job:              j,
+			Handle:           jh,
+			RemainingCoflows: len(j.Coflows),
+			stageLeft:        make([]int, j.NumStages),
+		}
+		for _, c := range j.Coflows {
+			ch, cs := coflowSlab.Alloc()
+			*cs = CoflowState{
+				Coflow:          c,
+				Job:             js,
+				Handle:          ch,
+				Phase:           PhaseWaiting,
+				PendingChildren: len(c.Children),
+				RemainingFlows:  len(c.Flows),
+			}
+			for _, fl := range c.Flows {
+				fh, fs := flowSlab.Alloc()
+				*fs = FlowState{
+					Flow:      fl,
+					Coflow:    cs,
+					Handle:    fh,
+					Remaining: float64(fl.Size),
+					activeIdx: -1,
+				}
+				cs.Flows = append(cs.Flows, fs)
+			}
+			js.Coflows = append(js.Coflows, cs)
+			js.stageLeft[c.Stage-1]++
+		}
+		out = append(out, js)
+	}
+	return out
+}
+
 // Run executes the simulation to completion and returns the results. A
 // Simulator is single-use.
 func (s *Simulator) Run() (*Result, error) {
@@ -693,9 +733,11 @@ func (s *Simulator) Run() (*Result, error) {
 	}
 	s.ran = true
 	s.sched.Init(Env{
-		Topo:   s.cfg.Topology,
-		Queues: s.cfg.Queues,
-		Now:    func() float64 { return s.now },
+		Topo:    s.cfg.Topology,
+		Queues:  s.cfg.Queues,
+		Now:     func() float64 { return s.now },
+		Jobs:    len(s.jobs),
+		Coflows: s.coflows,
 	})
 
 	var events int64
