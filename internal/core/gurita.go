@@ -64,9 +64,6 @@ func (c *Config) applyDefaults() {
 
 // jobInfo is Gurita's per-job bookkeeping.
 type jobInfo struct {
-	// live is set from the job's arrival until its completion.
-	live bool
-
 	// recentLargest is the AVA window: the observed largest-flow sizes of
 	// the job's most recently completed coflows (at most SMax entries).
 	recentLargest []float64
@@ -103,14 +100,10 @@ type Gurita struct {
 	// target each active coflow's LBEF queue. They are recomputed only when
 	// a coordination round ran or the active structure changed
 	// (structureDirty, set by the lifecycle hooks); between those points
-	// every Ψ input is constant, so targets cannot move. psiStamp marks the
-	// coflows the last rebuild saw: a coflow's entries are current while
-	// its stamp equals rebuilds.
+	// every Ψ input is constant, so targets cannot move.
 	psiC           []float64
 	psiJ           []float64
 	target         []int
-	psiStamp       []uint32
-	rebuilds       uint32
 	structureDirty bool
 }
 
@@ -167,7 +160,6 @@ func (g *Gurita) Init(env sim.Env) {
 	g.psiJ = make([]float64, env.Jobs)
 	g.psiC = make([]float64, env.Coflows)
 	g.target = make([]int, env.Coflows)
-	g.psiStamp = make([]uint32, env.Coflows)
 	if g.cfg.Oracle && !g.cfg.DisableCriticalPath {
 		g.critical = make([]bool, env.Coflows)
 	}
@@ -185,7 +177,6 @@ func (g *Gurita) OnControlFault(now float64, ev faults.Event) {
 
 // OnJobArrival implements sim.Scheduler.
 func (g *Gurita) OnJobArrival(js *sim.JobState) {
-	g.jobs[js.Index()] = jobInfo{live: true}
 	if g.critical != nil {
 		// Exact critical set over the job DAG with CCT ≈ L/R weights.
 		set := coflow.CriticalSet(js.Job, coflow.CCTWeight(g.env.Topo.LinkCapacity(0)))
@@ -213,9 +204,6 @@ func (g *Gurita) OnCoflowComplete(cs *sim.CoflowState) {
 	}
 	// Feed the AVA window with the completed coflow's observed largest flow.
 	ji := &g.jobs[cs.Job.Index()]
-	if !ji.live {
-		return
-	}
 	ji.recentLargest = append(ji.recentLargest, cs.ObservedLargest())
 	if len(ji.recentLargest) > g.cfg.SMax {
 		ji.recentLargest = ji.recentLargest[len(ji.recentLargest)-g.cfg.SMax:]
@@ -223,8 +211,7 @@ func (g *Gurita) OnCoflowComplete(cs *sim.CoflowState) {
 }
 
 // OnJobComplete implements sim.Scheduler.
-func (g *Gurita) OnJobComplete(js *sim.JobState) {
-	g.jobs[js.Index()] = jobInfo{}
+func (g *Gurita) OnJobComplete(*sim.JobState) {
 	g.structureDirty = true
 }
 
@@ -242,7 +229,7 @@ func (g *Gurita) psi(cs *sim.CoflowState) float64 {
 		largest = float64(c.LargestFlow())
 		width = c.Width()
 		mean = c.MeanFlowSize()
-		if g.critical != nil && g.jobs[cs.Job.Index()].live {
+		if g.critical != nil {
 			critical = g.critical[cs.Index()]
 		}
 	} else {
@@ -265,10 +252,8 @@ func (g *Gurita) psi(cs *sim.CoflowState) float64 {
 			// AVA: the coflow is probably on a critical path when its
 			// observed largest flow reaches the average of the largest
 			// flows seen on the job's recently completed coflows.
-			if ji := &g.jobs[cs.Job.Index()]; ji.live {
-				if avg := ji.avgLargest(); avg > 0 && obs.Largest >= avg {
-					critical = true
-				}
+			if avg := g.jobs[cs.Job.Index()].avgLargest(); avg > 0 && obs.Largest >= avg {
+				critical = true
 			}
 		}
 	}
@@ -330,14 +315,12 @@ func (g *Gurita) AssignQueues(now float64, flows, added, dirty []*sim.FlowState)
 // order, so the float sums are reproducible), and each active coflow's LBEF
 // target: the worse of its job-level and coflow-level demotion.
 func (g *Gurita) rebuild() {
-	g.rebuilds++
 	for _, cs := range g.active {
 		g.psiJ[cs.Job.Index()] = 0
 	}
 	for _, cs := range g.active {
 		p := g.psi(cs)
 		g.psiC[cs.Index()] = p
-		g.psiStamp[cs.Index()] = g.rebuilds
 		g.psiJ[cs.Job.Index()] += p
 	}
 	for _, cs := range g.active {
@@ -349,13 +332,10 @@ func (g *Gurita) rebuild() {
 
 // DecisionScore implements sim.DecisionScorer: the coflow's standing
 // blocking-effect Ψ — the LBEF scalar the thresholds discretize. The job
-// aggregate Σψ also shapes the final queue (targetQueue takes the worse of
-// the two demotions); the per-coflow Ψ is the value worth auditing because
-// it is what distinguishes LBEF from plain TBS ordering.
+// aggregate Σψ also shapes the final queue (rebuild takes the worse of the
+// two demotions); the per-coflow Ψ is the value worth auditing because
+// it is what distinguishes LBEF from plain TBS ordering. Every flow the
+// engine asks about belongs to a coflow the last rebuild saw.
 func (g *Gurita) DecisionScore(f *sim.FlowState) (float64, bool) {
-	i := f.Coflow.Index()
-	if st := g.psiStamp[i]; st == 0 || st != g.rebuilds {
-		return 0, false
-	}
-	return g.psiC[i], true
+	return g.psiC[f.Coflow.Index()], true
 }
