@@ -465,7 +465,7 @@ type Simulator struct {
 	queue eventq.Queue
 	now   float64
 
-	// jobs are built by buildStates; coflows counts their coflow states
+	// jobs are built by BuildStates; coflows counts their coflow states
 	// (Env.Coflows).
 	jobs    []*JobState
 	coflows int
@@ -622,7 +622,7 @@ func New(cfg Config, sched Scheduler, jobs []*coflow.Job) (*Simulator, error) {
 			return nil, fmt.Errorf("sim: job %d has negative arrival %v", j.ID, j.Arrival)
 		}
 	}
-	s.jobs = buildStates(jobs, len(coflowIDs), len(flowIDs))
+	s.jobs = BuildStates(jobs)
 	s.coflows = len(coflowIDs)
 	if s.taskDeps {
 		s.dependents = make([][]*FlowState, len(flowIDs))
@@ -666,6 +666,12 @@ func New(cfg Config, sched Scheduler, jobs []*coflow.Job) (*Simulator, error) {
 // Env{Jobs: len(states), Coflows: <total coflows>} at Init. Jobs must be
 // valid DAGs (coflow.Builder output) with unique IDs; BuildStates does not
 // re-check them.
+//
+// The population is known up front, so each slab's first chunk holds every
+// state of its type: states are contiguous in memory (stable addresses —
+// the pointers handed to schedulers stay valid for the run) and numbered
+// densely in construction order (jobs, then each job's coflows, then each
+// coflow's flows — the deterministic workload order).
 func BuildStates(jobs []*coflow.Job) []*JobState {
 	coflows, flows := 0, 0
 	for _, j := range jobs {
@@ -674,16 +680,6 @@ func BuildStates(jobs []*coflow.Job) []*JobState {
 			flows += len(c.Flows)
 		}
 	}
-	return buildStates(jobs, coflows, flows)
-}
-
-// buildStates is the construction loop shared by New and BuildStates. The
-// population is known up front, so each slab's first chunk holds every
-// state of its type: states are contiguous in memory (stable addresses —
-// the pointers handed to schedulers stay valid for the run) and numbered
-// densely in construction order (jobs, then each job's coflows, then each
-// coflow's flows — the deterministic workload order).
-func buildStates(jobs []*coflow.Job, coflows, flows int) []*JobState {
 	jobSlab := slab.New[JobState](len(jobs))
 	coflowSlab := slab.New[CoflowState](coflows)
 	flowSlab := slab.New[FlowState](flows)
