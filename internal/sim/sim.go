@@ -661,7 +661,7 @@ func New(cfg Config, sched Scheduler, jobs []*coflow.Job) (*Simulator, error) {
 
 // BuildStates builds waiting runtime states for jobs the way New does, each
 // with a distinct dense handle: job, coflow and flow indices count up from
-// 0 in workload order. It is for drivers that exercise a Scheduler outside
+// 0 in workload order. It is for code that exercises a Scheduler outside
 // the engine (unit tests, alternative frontends); pair it with
 // Env{Jobs: len(states), Coflows: <total coflows>} at Init. Jobs must be
 // valid DAGs (coflow.Builder output) with unique IDs; BuildStates does not
