@@ -55,6 +55,11 @@ func (m Mode) String() string {
 
 // FlowDemand is one active flow as seen by the allocator. The simulator owns
 // these structs and reuses them across allocation rounds.
+//
+// A demand is registered in at most one allocator at a time: its bookkeeping
+// (its slot run in particular) indexes that allocator's internal state. To
+// hand the same flow to a second allocator — a batch reference, say — pass a
+// copy made with Snapshot, never a plain struct copy of a registered demand.
 type FlowDemand struct {
 	// Path is the sequence of directed links the flow traverses. An empty
 	// path denotes a host-local transfer that never touches the fabric.
@@ -73,6 +78,7 @@ type FlowDemand struct {
 
 	// Delta-engine bookkeeping (valid while registered).
 	registered bool
+	slotOff    int32   // start of the flow's run in Allocator.slotArena
 	tier       int     // clamped Queue; -1 for host-local flows
 	tierIdx    int     // index into Allocator.byQueue[tier] (or local)
 	capSeen    float64 // MaxRate at the last Register/Update
@@ -85,9 +91,13 @@ func (f *FlowDemand) Snapshot() FlowDemand {
 	return FlowDemand{Path: f.Path, Queue: f.Queue, MaxRate: f.MaxRate}
 }
 
-// Allocator computes per-flow rates. It pre-sizes its state for one topology
-// and is reused across allocation instants; it is not safe for concurrent
-// use.
+// Allocator computes per-flow rates. It is built for one topology and is
+// reused across allocation instants; it is not safe for concurrent use.
+//
+// Per-link solver state is indexed by slot, not by LinkID: a link gets a
+// dense slot the first time a registered flow crosses it and gives it back
+// when its last flow unregisters (or on Reset), so the solver's arrays span
+// the links in use rather than the whole fabric.
 type Allocator struct {
 	mode   Mode
 	queues int
@@ -97,19 +107,35 @@ type Allocator struct {
 	// override holds per-link capacity overrides set by SetLinkCapacity
 	// (failed or degraded links); -1 means "no override, use the topology
 	// capacity". nil until the first override — the fault-free path never
-	// touches it.
+	// touches it. Indexed by LinkID.
 	override []float64
+
+	// Slot maps. slotOf is the only link-sized array: a link's slot, -1 while
+	// no registered flow crosses it. slotLink maps each slot handed out since
+	// the last Reset back to its link; freeSlots holds the returned ones.
+	slotOf    []int32
+	slotLink  []topo.LinkID
+	freeSlots []int32
+	// slotArena holds each registered fabric flow's Path translated to
+	// slots: a run of len(Path) entries from the flow's slotOff. freeRuns[n]
+	// lists the offsets of n-long runs unregistered flows gave back, so the
+	// arena spans the flows registered at once, not every flow ever seen.
+	slotArena []int32
+	freeRuns  [][]int32
+
+	// Everything below that is per link is indexed by slot and sized to the
+	// peak number of slots in use.
 	residual []float64
 	count    []int32
 
 	// Persistent registries maintained by Register/Unregister/Update.
-	used    []topo.LinkID // links crossed by >= 1 registered flow
-	usedIdx []int32       // position of a link in used; -1 when absent
-	linkRef []int32       // per-link registered-flow crossing count
+	used    []int32 // slots of links crossed by >= 1 registered flow
+	usedIdx []int32 // per-slot position in used
+	linkRef []int32 // per-slot registered-flow crossing count
 	byQueue [][]*FlowDemand
 	local   []*FlowDemand // registered host-local flows (empty paths)
 
-	// tierRes[q][l] snapshots the residual capacity of link l at the start
+	// tierRes[q][s] snapshots the residual capacity of slot s at the start
 	// of tier q's water-fill during the last solve. Restoring tierRes[q]
 	// reproduces exactly the link state a from-scratch solve would present
 	// to tier q, which is what makes the partial re-solve bit-exact.
@@ -123,10 +149,10 @@ type Allocator struct {
 	wrrWeights []float64
 	pool       []float64
 	spill      []*FlowDemand
-	touched    []topo.LinkID // links with >= 1 unfrozen crossing flow, compacted
-	touchedIdx []int32       // per-link position in touched (valid for touched links)
-	linkFlows  [][]int32     // per-link unfrozen-flow (work index) lists for the fill
-	satBuf     []topo.LinkID // links that saturated in the current round
+	touched    []int32       // slots with >= 1 unfrozen crossing flow, compacted
+	touchedIdx []int32       // per-slot position in touched (valid for touched slots)
+	linkFlows  [][]int32     // per-slot unfrozen-flow (work index) lists for the fill
+	satBuf     []int32       // slots that saturated in the current round
 	work       []*FlowDemand // stable snapshot of the fill's unfrozen flows
 	workN      int           // high-water mark of work entries holding pointers
 	live       []int32       // work indices still unfrozen, compacted between rounds
@@ -181,30 +207,20 @@ func NewAllocator(t *topo.Topology, queues int, mode Mode, opts ...Option) (*All
 	if mode != ModeSPQ && mode != ModeWRR {
 		return nil, fmt.Errorf("netmod: unknown mode %v", mode)
 	}
-	n := t.NumLinks()
 	a := &Allocator{
 		mode:       mode,
 		queues:     queues,
 		eta:        0.95,
 		capacity:   t.LinkCapacity,
-		residual:   make([]float64, n),
-		count:      make([]int32, n),
-		usedIdx:    make([]int32, n),
-		linkRef:    make([]int32, n),
+		slotOf:     make([]int32, t.NumLinks()),
 		byQueue:    make([][]*FlowDemand, queues),
 		tierRes:    make([][]float64, queues),
 		dirtyMin:   queues,
 		wrrShares:  make([]float64, queues),
 		wrrWeights: make([]float64, queues),
-		pool:       make([]float64, n),
-		touchedIdx: make([]int32, n),
-		linkFlows:  make([][]int32, n),
 	}
-	for i := range a.usedIdx {
-		a.usedIdx[i] = -1
-	}
-	for q := range a.tierRes {
-		a.tierRes[q] = make([]float64, n)
+	for i := range a.slotOf {
+		a.slotOf[i] = -1
 	}
 	for _, o := range opts {
 		o(a)
@@ -248,7 +264,7 @@ func (a *Allocator) SetLinkCapacity(l topo.LinkID, c float64) {
 		c = 0
 	}
 	if a.override == nil {
-		a.override = make([]float64, len(a.residual))
+		a.override = make([]float64, len(a.slotOf))
 		for i := range a.override {
 			a.override[i] = -1
 		}
@@ -266,23 +282,70 @@ func (a *Allocator) ClearLinkCapacity(l topo.LinkID) {
 	a.capacityChanged(l)
 }
 
-// capacityChanged refreshes the per-tier residual snapshots of link l after
-// its effective capacity moved. For a link with registered flows the
-// snapshot entering tier 0 is the capacity itself and every later tier's
-// snapshot is stale, so the next Reallocate re-solves from tier 0 — exactly
-// the arithmetic a from-scratch solve with the new capacity performs. For an
-// unused link the snapshots simply track the capacity a future Register
-// would copy in.
+// capacityChanged refreshes link l's residual snapshot after its effective
+// capacity moved. For a link with registered flows the snapshot entering
+// tier 0 is the capacity itself and every later tier's snapshot is stale, so
+// the next Reallocate re-solves from tier 0 — exactly the arithmetic a
+// from-scratch solve with the new capacity performs. An unused link has no
+// slot and nothing to refresh: Register seeds a new slot from linkCap.
 func (a *Allocator) capacityChanged(l topo.LinkID) {
-	c := a.linkCap(l)
-	if a.linkRef[l] > 0 {
-		a.tierRes[0][l] = c
+	if s := a.slotOf[l]; s >= 0 {
+		a.tierRes[0][s] = a.linkCap(l)
 		a.dirtyMin = 0
-		return
 	}
+}
+
+// acquireSlot gives link l a slot: a returned one when any is free, else the
+// next unused index, growing the per-slot arrays when it passes their
+// length. A link no registered flow crossed carries no load at any tier, so
+// its residual entering every tier is its capacity.
+func (a *Allocator) acquireSlot(l topo.LinkID) int32 {
+	var s int32
+	if n := len(a.freeSlots); n > 0 {
+		s = a.freeSlots[n-1]
+		a.freeSlots = a.freeSlots[:n-1]
+		a.slotLink[s] = l
+	} else {
+		s = int32(len(a.slotLink))
+		a.slotLink = append(a.slotLink, l)
+		if int(s) == len(a.linkRef) {
+			a.growSlots()
+		}
+	}
+	a.slotOf[l] = s
+	a.usedIdx[s] = int32(len(a.used))
+	a.used = append(a.used, s)
+	c := a.linkCap(l)
 	for q := range a.tierRes {
-		a.tierRes[q][l] = c
+		a.tierRes[q][s] = c
 	}
+	return s
+}
+
+// growSlots appends one entry to every per-slot array.
+func (a *Allocator) growSlots() {
+	a.residual = append(a.residual, 0)
+	a.count = append(a.count, 0)
+	a.usedIdx = append(a.usedIdx, 0)
+	a.linkRef = append(a.linkRef, 0)
+	a.pool = append(a.pool, 0)
+	a.touchedIdx = append(a.touchedIdx, 0)
+	a.linkFlows = append(a.linkFlows, nil)
+	for q := range a.tierRes {
+		a.tierRes[q] = append(a.tierRes[q], 0)
+	}
+}
+
+// releaseSlot returns slot s, whose link just lost its last registered flow.
+func (a *Allocator) releaseSlot(s int32) {
+	i := a.usedIdx[s]
+	last := len(a.used) - 1
+	moved := a.used[last]
+	a.used[i] = moved
+	a.usedIdx[moved] = i
+	a.used = a.used[:last]
+	a.slotOf[a.slotLink[s]] = -1
+	a.freeSlots = append(a.freeSlots, s)
 }
 
 // clampQueue maps an arbitrary Queue value into [0, queues).
@@ -324,18 +387,15 @@ func (a *Allocator) Register(f *FlowDemand) {
 	f.tier = t
 	f.tierIdx = len(a.byQueue[t])
 	a.byQueue[t] = append(a.byQueue[t], f)
-	for _, l := range f.Path {
-		if a.linkRef[l] == 0 {
-			a.usedIdx[l] = int32(len(a.used))
-			a.used = append(a.used, l)
-			// A link no registered flow crossed carries no load at any
-			// tier, so its residual entering every tier is its capacity.
-			c := a.linkCap(l)
-			for q := range a.tierRes {
-				a.tierRes[q][l] = c
-			}
+	f.slotOff = a.takeRun(len(f.Path))
+	run := a.slots(f)
+	for i, l := range f.Path {
+		s := a.slotOf[l]
+		if s < 0 {
+			s = a.acquireSlot(l)
 		}
-		a.linkRef[l]++
+		a.linkRef[s]++
+		run[i] = s
 	}
 	if t < a.dirtyMin {
 		a.dirtyMin = t
@@ -354,18 +414,13 @@ func (a *Allocator) Unregister(f *FlowDemand) {
 		return
 	}
 	a.removeFromTier(f)
-	for _, l := range f.Path {
-		a.linkRef[l]--
-		if a.linkRef[l] == 0 {
-			i := a.usedIdx[l]
-			last := len(a.used) - 1
-			moved := a.used[last]
-			a.used[i] = moved
-			a.usedIdx[moved] = i
-			a.used = a.used[:last]
-			a.usedIdx[l] = -1
+	for _, s := range a.slots(f) {
+		a.linkRef[s]--
+		if a.linkRef[s] == 0 {
+			a.releaseSlot(s)
 		}
 	}
+	a.putRun(f.slotOff, len(f.Path))
 	if f.tier < a.dirtyMin {
 		a.dirtyMin = f.tier
 	}
@@ -412,6 +467,33 @@ func (a *Allocator) Update(f *FlowDemand) {
 	}
 }
 
+// takeRun returns the offset of an n-long run in slotArena: one an
+// unregistered flow gave back when there is one, else a new run at the end.
+func (a *Allocator) takeRun(n int) int32 {
+	if n < len(a.freeRuns) {
+		if free := a.freeRuns[n]; len(free) > 0 {
+			a.freeRuns[n] = free[:len(free)-1]
+			return free[len(free)-1]
+		}
+	}
+	off := int32(len(a.slotArena))
+	a.slotArena = append(a.slotArena, make([]int32, n)...)
+	return off
+}
+
+// putRun gives the n-long run at off back for a later takeRun.
+func (a *Allocator) putRun(off int32, n int) {
+	for n >= len(a.freeRuns) {
+		a.freeRuns = append(a.freeRuns, nil)
+	}
+	a.freeRuns[n] = append(a.freeRuns[n], off)
+}
+
+// slots returns registered fabric flow f's Path translated to slots.
+func (a *Allocator) slots(f *FlowDemand) []int32 {
+	return a.slotArena[f.slotOff : int(f.slotOff)+len(f.Path)]
+}
+
 // removeFromTier swap-removes a fabric flow from its tier registry.
 func (a *Allocator) removeFromTier(f *FlowDemand) {
 	fl := a.byQueue[f.tier]
@@ -452,11 +534,17 @@ func (a *Allocator) Reset() {
 		a.local[i] = nil
 	}
 	a.local = a.local[:0]
-	for _, l := range a.used {
-		a.linkRef[l] = 0
-		a.usedIdx[l] = -1
+	for _, s := range a.used {
+		a.slotOf[a.slotLink[s]] = -1
+		a.linkRef[s] = 0
 	}
 	a.used = a.used[:0]
+	a.slotLink = a.slotLink[:0]
+	a.freeSlots = a.freeSlots[:0]
+	a.slotArena = a.slotArena[:0]
+	for n := range a.freeRuns {
+		a.freeRuns[n] = a.freeRuns[n][:0]
+	}
 	a.dirtyMin = 0
 }
 
@@ -479,14 +567,14 @@ func (a *Allocator) Reallocate() {
 	case ModeSPQ:
 		start := a.dirtyMin
 		res := a.tierRes[start]
-		for _, l := range a.used {
-			a.residual[l] = res[l]
+		for _, s := range a.used {
+			a.residual[s] = res[s]
 		}
 		for q := start; q < a.queues; q++ {
 			if q > start {
 				snap := a.tierRes[q]
-				for _, l := range a.used {
-					snap[l] = a.residual[l]
+				for _, s := range a.used {
+					snap[s] = a.residual[s]
 				}
 			}
 			fl := a.byQueue[q]
@@ -534,8 +622,8 @@ func (a *Allocator) Allocate(flows []*FlowDemand) {
 // unsatisfied flows, making the discipline work conserving like a real WRR
 // scheduler.
 func (a *Allocator) reallocateWRR() {
-	for _, l := range a.used {
-		a.residual[l] = a.linkCap(l)
+	for _, s := range a.used {
+		a.residual[s] = a.linkCap(a.slotLink[s])
 	}
 	total := 0.0
 	for q := range a.byQueue {
@@ -556,30 +644,31 @@ func (a *Allocator) reallocateWRR() {
 	// Phase 1: per-tier guaranteed share. We shrink each touched link's
 	// residual to the tier's slice, run the water-fill, then return what the
 	// tier did not consume to the common pool.
-	for _, l := range a.used {
-		a.pool[l] = a.residual[l]
-		a.residual[l] = 0
+	for _, s := range a.used {
+		a.pool[s] = a.residual[s]
+		a.residual[s] = 0
 	}
 	for q := 0; q < a.queues; q++ {
 		if len(a.byQueue[q]) == 0 {
 			continue
 		}
-		for _, l := range a.used {
-			a.residual[l] = a.pool[l] * weights[q]
+		for _, s := range a.used {
+			a.residual[s] = a.pool[s] * weights[q]
 		}
 		a.registerCounts(a.byQueue[q])
 		a.waterfill(a.byQueue[q])
-		for _, l := range a.used {
+		for _, s := range a.used {
 			// Whatever the tier left of its slice returns to the pool as
 			// "unguaranteed" capacity, shrinking the pool by what was used.
-			a.pool[l] -= a.pool[l]*weights[q] - a.residual[l]
-			a.residual[l] = 0
+			// The conversion rounds the product, so no platform fuses it.
+			a.pool[s] -= float64(a.pool[s]*weights[q]) - a.residual[s]
+			a.residual[s] = 0
 		}
 	}
 
 	// Phase 2: spill leftover capacity to every flow not yet at its cap.
-	for _, l := range a.used {
-		a.residual[l] = a.pool[l]
+	for _, s := range a.used {
+		a.residual[s] = a.pool[s]
 	}
 	spill := a.spill[:0]
 	for q := 0; q < a.queues; q++ {
@@ -600,16 +689,16 @@ func (a *Allocator) reallocateWRR() {
 }
 
 // registerCounts builds the water-fill's working indexes in one pass over
-// fl: the per-link unfrozen crossing counts, the compacted touched-link
-// list (with per-link positions so freezes can swap-remove), the per-link
+// fl: the per-slot unfrozen crossing counts, the compacted touched-slot
+// list (with per-slot positions so freezes can swap-remove), the per-slot
 // flow lists the freeze sweep walks when a link saturates, and the stable
 // work/live arrays the rounds iterate. Link lists hold int32 work indices,
 // not pointers, so resetting them never touches the GC.
 //
 //alloc:free one pass over fl reusing the allocator's pooled index arrays
 func (a *Allocator) registerCounts(fl []*FlowDemand) {
-	for _, l := range a.used {
-		a.count[l] = 0
+	for _, s := range a.used {
+		a.count[s] = 0
 	}
 	work := a.work[:0]
 	live := a.live[:0]
@@ -626,14 +715,14 @@ func (a *Allocator) registerCounts(fl []*FlowDemand) {
 		} else {
 			a.livePos = append(a.livePos, j)
 		}
-		for _, l := range f.Path {
-			if a.count[l] == 0 {
-				a.touchedIdx[l] = int32(len(touched))
-				touched = append(touched, l)
-				a.linkFlows[l] = a.linkFlows[l][:0]
+		for _, s := range a.slots(f) {
+			if a.count[s] == 0 {
+				a.touchedIdx[s] = int32(len(touched))
+				touched = append(touched, s)
+				a.linkFlows[s] = a.linkFlows[s][:0]
 			}
-			a.count[l]++
-			a.linkFlows[l] = append(a.linkFlows[l], j)
+			a.count[s]++
+			a.linkFlows[s] = append(a.linkFlows[s], j)
 		}
 	}
 	// Drop demand pointers only beyond this fill's length: consecutive
@@ -659,14 +748,14 @@ func (a *Allocator) registerCounts(fl []*FlowDemand) {
 func (a *Allocator) freeze(j int32) {
 	f := a.work[j]
 	f.frozen = true
-	for _, l := range f.Path {
-		a.count[l]--
-		if a.count[l] == 0 {
-			ti := a.touchedIdx[l]
+	for _, s := range a.slots(f) {
+		a.count[s]--
+		if a.count[s] == 0 {
+			ti := a.touchedIdx[s]
 			last := len(a.touched) - 1
-			lastL := a.touched[last]
-			a.touched[ti] = lastL
-			a.touchedIdx[lastL] = ti
+			lastS := a.touched[last]
+			a.touched[ti] = lastS
+			a.touchedIdx[lastS] = ti
 			a.touched = a.touched[:last]
 		}
 	}
@@ -682,9 +771,10 @@ func (a *Allocator) freeze(j int32) {
 // can accumulate in one round (~1e-12 relative, versus ~1e-16 actual), so
 // the scan-skip decisions stay conservative. Slack only gates which scans
 // run — never the arithmetic — so overshooting costs a redundant scan, not
-// correctness.
+// correctness. The conversion rounds the product, so the callers' sums never
+// fuse it into a multiply-add on platforms that have one.
 func capSlack(x, d float64) float64 {
-	return 1e-12 * (math.Abs(x) + math.Abs(d) + 1)
+	return float64(1e-12 * (math.Abs(x) + math.Abs(d) + 1))
 }
 
 // waterfill runs progressive filling over the working set registerCounts
@@ -719,10 +809,10 @@ func (a *Allocator) waterfill(fl []*FlowDemand) {
 		a.stWFRounds++
 		// The water level can rise by the smallest per-link fair share...
 		linkMin := -1.0
-		for _, l := range a.touched {
-			s := a.residual[l] / float64(a.count[l])
-			if linkMin < 0 || s < linkMin {
-				linkMin = s
+		for _, s := range a.touched {
+			share := a.residual[s] / float64(a.count[s])
+			if linkMin < 0 || share < linkMin {
+				linkMin = share
 			}
 		}
 		// ...or until the nearest per-flow cap, whichever is smaller. The
@@ -757,21 +847,21 @@ func (a *Allocator) waterfill(fl []*FlowDemand) {
 			for _, j := range a.live {
 				a.work[j].Rate += d
 			}
-			for _, l := range a.touched {
-				a.residual[l] -= d * float64(a.count[l])
-				if a.residual[l] < 0 {
-					a.residual[l] = 0
+			for _, s := range a.touched {
+				a.residual[s] -= float64(d * float64(a.count[s]))
+				if a.residual[s] < 0 {
+					a.residual[s] = 0
 				}
-				if a.residual[l] <= epsRate {
-					a.satBuf = append(a.satBuf, l)
+				if a.residual[s] <= epsRate {
+					a.satBuf = append(a.satBuf, s)
 				}
 			}
 		} else {
 			// d == 0: nothing moved, but links may sit at (or below) the
 			// saturation tolerance already — their flows must still freeze.
-			for _, l := range a.touched {
-				if a.residual[l] <= epsRate {
-					a.satBuf = append(a.satBuf, l)
+			for _, s := range a.touched {
+				if a.residual[s] <= epsRate {
+					a.satBuf = append(a.satBuf, s)
 				}
 			}
 		}
@@ -790,8 +880,8 @@ func (a *Allocator) waterfill(fl []*FlowDemand) {
 			}
 		}
 		// ...then every flow crossing a link that saturated this round.
-		for _, l := range a.satBuf {
-			for _, j := range a.linkFlows[l] {
+		for _, s := range a.satBuf {
+			for _, j := range a.linkFlows[s] {
 				if !a.work[j].frozen {
 					a.freeze(j)
 				}

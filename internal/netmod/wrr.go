@@ -115,7 +115,9 @@ func wrrWeightsInto(weights, shares []float64, eta float64) []float64 {
 		if s < 0 {
 			s = 0
 		}
-		rho := eta * s
+		// The conversion rounds the product, so the sum below never fuses
+		// it into a multiply-add on platforms that have one.
+		rho := float64(eta * s)
 		sigma := sigmaPrev + rho
 		if s > 0 {
 			weights[k] = (1 - sigmaPrev) * (1 - sigma) / rho

@@ -256,10 +256,28 @@ func (t *Topology) edgeIdx(s ServerID) int {
 // so the flow stays on one path. src == dst yields an empty path: a
 // host-local transfer never touches the fabric.
 //
-// The returned slice is freshly allocated; callers may retain it. Use
+// The returned slice is freshly allocated, with room for the fabric's
+// longest path so it is allocated once; callers may retain it. Use
 // AppendPath to reuse a buffer on hot paths.
 func (t *Topology) Path(src, dst ServerID, hash uint64) []LinkID {
-	return t.AppendPath(nil, src, dst, hash)
+	if src == dst {
+		return nil
+	}
+	return t.AppendPath(make([]LinkID, 0, t.maxPathLen()), src, dst, hash)
+}
+
+// maxPathLen is the number of links on the fabric's longest path: up and
+// down through the big switch, via a spine across leaves, via a core switch
+// across fat-tree pods.
+func (t *Topology) maxPathLen() int {
+	switch t.kind {
+	case KindBigSwitch:
+		return 2
+	case KindLeafSpine:
+		return 4
+	default:
+		return 6
+	}
 }
 
 // AppendPath appends the path from src to dst to buf and returns it.
