@@ -9,8 +9,9 @@ import (
 	"strings"
 	"time"
 
+	"gurita/internal/cachestore"
+	"gurita/internal/cachestore/fsstore"
 	"gurita/internal/cachestore/httpstore"
-	"gurita/internal/lease"
 	"gurita/internal/metrics"
 	"gurita/internal/obs"
 	"gurita/internal/runner"
@@ -388,30 +389,26 @@ func RunCampaign(ctx context.Context, specs []TrialSpec, opts CampaignOptions) (
 	if opts.CacheDir != "" && opts.CacheURL != "" {
 		return nil, CampaignStats{}, errors.New("gurita: CacheDir and CacheURL are mutually exclusive; pick a local directory or a remote cache server")
 	}
-	var cache *runner.Cache
-	if opts.CacheDir != "" {
-		var err error
-		cache, err = runner.Open(opts.CacheDir, opts.schema())
-		if err != nil {
-			return nil, CampaignStats{}, err
-		}
-	}
-	// Multi-process mode: a lease layer over the shared cache plus the
-	// campaign's grid hash, which names this worker's manifest shard and lets
-	// shards from the same grid find each other. With CacheDir the leases are
-	// files in the cache; with CacheURL they live in the daemon's lease table.
+	// Multi-process mode: the store's lease side plus the campaign's grid
+	// hash, which names this worker's manifest shard and lets shards from the
+	// same grid find each other. With CacheDir the leases are files in the
+	// cache; with CacheURL they live in the daemon's lease table.
 	var (
-		mgr      *lease.Manager
 		owner    string
 		gridHash string
 		reg      *obs.SyncRegistry
 	)
 	if mp := opts.MultiProcess; mp != nil {
-		if cache == nil && opts.CacheURL == "" {
+		if opts.CacheDir == "" && opts.CacheURL == "" {
 			return nil, CampaignStats{}, errors.New("gurita: multi-process campaigns need CacheDir or CacheURL (workers coordinate through the cache)")
 		}
 		if opts.Force {
 			return nil, CampaignStats{}, errors.New("gurita: Force re-executes unconditionally, which multi-process leases exist to prevent; drop one of them")
+		}
+		if opts.CacheURL != "" && (mp.LeaseTTL != 0 || mp.Heartbeat != 0 || mp.MaxAttempts != 0) {
+			// The daemon's clock is authoritative over remote leases; a
+			// client-side TTL would be a lie the protocol cannot honor.
+			return nil, CampaignStats{}, errors.New("gurita: remote-cache lease tuning is server-side; set -cache-lease-ttl/-cache-lease-max-attempts on guritad instead")
 		}
 		owner = mp.Owner
 		if owner == "" {
@@ -420,26 +417,6 @@ func RunCampaign(ctx context.Context, specs []TrialSpec, opts CampaignOptions) (
 		reg = mp.Registry
 		if reg == nil {
 			reg = obs.NewSyncRegistry()
-		}
-		if cache != nil {
-			cache.Counters = reg
-			var err error
-			mgr, err = lease.Open(lease.Config{
-				Dir:         filepath.Join(opts.CacheDir, runner.LeaseSubdir),
-				Owner:       owner,
-				Schema:      opts.schema(),
-				TTL:         mp.LeaseTTL,
-				Heartbeat:   mp.Heartbeat,
-				MaxAttempts: mp.MaxAttempts,
-				Counters:    reg,
-			})
-			if err != nil {
-				return nil, CampaignStats{}, err
-			}
-		} else if mp.LeaseTTL != 0 || mp.Heartbeat != 0 || mp.MaxAttempts != 0 {
-			// The daemon's clock is authoritative over remote leases; a
-			// client-side TTL would be a lie the protocol cannot honor.
-			return nil, CampaignStats{}, errors.New("gurita: remote-cache lease tuning is server-side; set -cache-lease-ttl/-cache-lease-max-attempts on guritad instead")
 		}
 		keys := make([]string, len(norm))
 		var err error
@@ -450,23 +427,9 @@ func RunCampaign(ctx context.Context, specs []TrialSpec, opts CampaignOptions) (
 		}
 		gridHash = runner.GridHash(keys)
 	}
-	// Remote cache: the httpstore backend replaces the local Cache/Manager
-	// pair wholesale — same interfaces, different machine.
-	var remote *httpstore.Store
-	if opts.CacheURL != "" {
-		ro := owner
-		if ro == "" {
-			ro = DefaultWorkerID()
-		}
-		cfg := httpstore.Config{BaseURL: opts.CacheURL, Schema: opts.schema(), Owner: ro}
-		if reg != nil {
-			cfg.Counters = reg
-		}
-		var err error
-		remote, err = httpstore.Open(cfg)
-		if err != nil {
-			return nil, CampaignStats{}, err
-		}
+	store, err := openCampaignStore(opts, owner, reg)
+	if err != nil {
+		return nil, CampaignStats{}, err
 	}
 	for _, dir := range []string{opts.ObsTraceDir, opts.ObsDumpDir} {
 		if dir != "" {
@@ -538,7 +501,6 @@ func RunCampaign(ctx context.Context, specs []TrialSpec, opts CampaignOptions) (
 	}
 	ropts := runner.Options{
 		Workers:         opts.Workers,
-		Cache:           cache,
 		Force:           opts.Force,
 		Progress:        opts.Progress,
 		TrialTimeout:    opts.TrialTimeout,
@@ -547,39 +509,30 @@ func RunCampaign(ctx context.Context, specs []TrialSpec, opts CampaignOptions) (
 		Flight:          opts.Flight,
 		Gate:            opts.Gate,
 		Drain:           opts.Drain,
-		Lease:           mgr,
+		Store:           store,
 	}
-	if remote != nil {
-		ropts.Store = remote
-		if opts.MultiProcess != nil {
-			ropts.StoreLeases = remote
-		}
+	if opts.MultiProcess != nil {
+		ropts.StoreLeases = store
 	}
 	docs, stats, err := runner.Run(ctx, norm, exec, ropts)
 	if opts.MultiProcess != nil {
 		// Fold the runner's trial tallies into the registry so the manifest
 		// shard's counters and its stats columns are cross-checkable (the
-		// chaos harness asserts they agree after merging), then flush the
-		// shard. Written even on drain or failure: a crashed-then-resumed
-		// fleet's accounting must include the partial incarnations.
+		// chaos harness asserts they agree after merging), then publish the
+		// shard through the store — a filesystem store writes it under its
+		// manifests/ subtree, the daemon under its own. Detached from ctx and
+		// written even on drain or failure: a crashed-then-resumed fleet's
+		// accounting must include the partial incarnations.
 		reg.Add("runner.trials.executed", int64(stats.Executed))
 		reg.Add("runner.trials.retried", int64(stats.Retries))
 		reg.Add("runner.trials.cache_hits", int64(stats.CacheHits))
 		reg.Add("runner.trials.dedup_hits", int64(stats.DedupHits))
 		m := runner.NewWorkerManifest(metrics.WorkerManifestSchema, owner, gridHash, stats, reg.Snapshot())
-		if remote != nil {
-			// Publish through the daemon so the shard lands in its cache
-			// dir's manifests/ subtree — exactly where a filesystem worker
-			// would have written it. Detached from ctx: a drained or failed
-			// campaign still accounts for itself, like the local-write path.
-			data, werr := runner.EncodeWorkerManifest(m)
-			if werr == nil {
-				werr = remote.PutManifest(context.WithoutCancel(ctx), runner.ManifestName(owner, gridHash), data)
-			}
-			if werr != nil && err == nil {
-				err = werr
-			}
-		} else if _, werr := runner.WriteWorkerManifest(opts.CacheDir, m); werr != nil && err == nil {
+		data, werr := runner.EncodeWorkerManifest(m)
+		if werr == nil {
+			werr = store.PutManifest(context.WithoutCancel(ctx), runner.ManifestName(owner, gridHash), data)
+		}
+		if werr != nil && err == nil {
 			err = werr
 		}
 	}
@@ -595,6 +548,43 @@ func RunCampaign(ctx context.Context, specs []TrialSpec, opts CampaignOptions) (
 		}
 	}
 	return results, stats, err
+}
+
+// campaignStore is what both storage backends provide a campaign: results,
+// leases and manifest shards.
+type campaignStore interface {
+	cachestore.Store
+	cachestore.LeaseStore
+	cachestore.ManifestStore
+}
+
+// openCampaignStore opens the one store a campaign talks to: an fsstore over
+// CacheDir or an httpstore client for CacheURL, nil for an uncached run.
+// Under MultiProcess (owner set) the store's lease side is live and its
+// counters feed reg; a single-process fsstore opens no lease side at all.
+func openCampaignStore(opts CampaignOptions, owner string, reg *obs.SyncRegistry) (campaignStore, error) {
+	switch {
+	case opts.CacheDir != "":
+		cfg := fsstore.Config{Dir: opts.CacheDir, Schema: opts.schema()}
+		if mp := opts.MultiProcess; mp != nil {
+			cfg.Owner = owner
+			cfg.TTL = mp.LeaseTTL
+			cfg.Heartbeat = mp.Heartbeat
+			cfg.MaxAttempts = mp.MaxAttempts
+			cfg.Counters = reg
+		}
+		return fsstore.OpenStore(cfg)
+	case opts.CacheURL != "":
+		if owner == "" {
+			owner = DefaultWorkerID()
+		}
+		cfg := httpstore.Config{BaseURL: opts.CacheURL, Schema: opts.schema(), Owner: owner}
+		if reg != nil {
+			cfg.Counters = reg
+		}
+		return httpstore.Open(cfg)
+	}
+	return nil, nil
 }
 
 // errorsIsDrained reports whether a campaign error is the drain soft-stop.

@@ -99,6 +99,51 @@ func TestCampaignDeterminismGolden(t *testing.T) {
 	}
 }
 
+// TestCampaignCacheDirAcrossModes: one cache directory serves both campaign
+// modes. A grid filled by a single-process campaign is served entirely from
+// the cache by a multi-process one and vice versa, with byte-identical
+// results, and the single-process campaign opens no leases/ directory.
+func TestCampaignCacheDirAcrossModes(t *testing.T) {
+	ctx := context.Background()
+	specs := campaignGrid()[:4]
+	single := gurita.CampaignOptions{Workers: 2}
+	multi := gurita.CampaignOptions{Workers: 2, MultiProcess: &gurita.MultiProcessOptions{Owner: "w1"}}
+	for _, tc := range []struct {
+		name        string
+		fill, serve gurita.CampaignOptions
+	}{
+		{"single-then-multi", single, multi},
+		{"multi-then-single", multi, single},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			tc.fill.CacheDir, tc.serve.CacheDir = dir, dir
+			cold, stats, err := gurita.RunCampaign(ctx, specs, tc.fill)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stats.Executed != len(specs) {
+				t.Fatalf("filling run stats = %+v", stats)
+			}
+			if tc.fill.MultiProcess == nil {
+				if _, err := os.Stat(filepath.Join(dir, "leases")); !errors.Is(err, os.ErrNotExist) {
+					t.Errorf("single-process campaign created leases/: %v", err)
+				}
+			}
+			warm, stats, err := gurita.RunCampaign(ctx, specs, tc.serve)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stats.Executed != 0 || stats.CacheHits != len(specs) {
+				t.Fatalf("serving run stats = %+v, want all %d from cache", stats, len(specs))
+			}
+			if !bytes.Equal(aggregateJSON(t, cold), aggregateJSON(t, warm)) {
+				t.Fatal("cache-served results differ from the filling run")
+			}
+		})
+	}
+}
+
 // TestCampaignForce re-executes everything over a warm cache.
 func TestCampaignForce(t *testing.T) {
 	ctx := context.Background()

@@ -51,6 +51,7 @@ import (
 	"time"
 
 	gurita "gurita"
+	"gurita/internal/cachestore"
 	"gurita/internal/metrics"
 	"gurita/internal/obs"
 	"gurita/internal/runner"
@@ -295,10 +296,10 @@ func run() error {
 			return fmt.Errorf("cache daemon graceful stop: %w", err)
 		}
 	}
-	if left := globNames(filepath.Join(cache, runner.LeaseSubdir), "*"); len(left) != 0 {
+	if left := globNames(filepath.Join(cache, cachestore.LeaseSubdir), "*"); len(left) != 0 {
 		return fmt.Errorf("lease files left behind: %v", left)
 	}
-	if q := globNames(filepath.Join(cache, runner.QuarantineDir), "*"); len(q) != 0 {
+	if q := globNames(filepath.Join(cache, cachestore.QuarantineDir), "*"); len(q) != 0 {
 		return fmt.Errorf("quarantined cache entries: %v", q)
 	}
 	// Assertion 3: the merged manifests are self-consistent — stats columns

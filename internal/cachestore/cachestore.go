@@ -4,13 +4,12 @@
 // primitives (claim/renew/release/poison/sweep), and the manifest shard
 // operations multi-worker campaigns use to account for their work.
 //
-// Three backends implement it:
+// Two backends implement it:
 //
 //   - fsstore: the original shared-directory layout (PR 8), byte-compatible
 //     with pre-existing cache dirs — one JSON envelope per trial fanned out
 //     over 256 two-hex-digit shards, lease files under leases/, quarantined
 //     evidence under quarantine/, manifest shards under manifests/.
-//   - memstore: an in-process store for tests and single-shot runs.
 //   - httpstore: a client for guritad's /v1/cache/... endpoints, so workers
 //     on different machines share one daemon-hosted cache with server-side
 //     single-flight and server-authoritative lease expiry.

@@ -1,10 +1,10 @@
 // Package conformancetest is the executable contract of the cachestore
-// backends: one suite of behavioral tests that fsstore, memstore, and
-// httpstore must all pass. Each backend's own test file supplies a Harness
-// factory; the suite drives the backend exclusively through the cachestore
-// interfaces, so anything it asserts is a property campaigns can rely on no
-// matter which backend a driver wires in — and any future backend starts
-// from the same bar.
+// backends: one suite of behavioral tests that fsstore and httpstore must
+// both pass. Each backend's own test file supplies a Harness factory; the
+// suite drives the backend exclusively through the cachestore interfaces,
+// so anything it asserts is a property campaigns can rely on no matter which
+// backend a driver wires in — and any future backend starts from the same
+// bar.
 //
 // The suite covers the invariants the runner leans on: put/get round-trips
 // return the published result bytes exactly; corruption is detected on read
@@ -44,8 +44,8 @@ type Harness struct {
 	// distinct owners are distinct lease identities.
 	Open func(t *testing.T, owner string) Full
 	// Corrupt damages the stored envelope for key in place, bypassing the
-	// API — disk scribbling for fsstore, map surgery for memstore, a write
-	// into the daemon's cache dir for httpstore. nil skips the corruption
+	// API — disk scribbling for fsstore, a write into the daemon's cache dir
+	// for httpstore. nil skips the corruption
 	// subtest (no backend should need to).
 	Corrupt func(t *testing.T, key string)
 	// TTL is the lease TTL the backing store is configured with. The suite

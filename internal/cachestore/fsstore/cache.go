@@ -173,9 +173,8 @@ func (c *Cache) quarantine(path string) {
 	c.count("runner.cache.quarantined")
 }
 
-// Put persists a finished trial atomically and durably: the envelope is
-// written to a temp file in the entry's own shard, fsynced, renamed into
-// place, and the shard directory is fsynced — so readers see either the old
+// Put persists a finished trial atomically and durably through
+// WriteFileAtomic into the entry's own shard, so readers see either the old
 // entry, the new entry, or a miss (never a torn write), and a crash
 // immediately after Put returns cannot lose the committed entry.
 func (c *Cache) Put(key string, spec, result json.RawMessage) error {
@@ -190,45 +189,53 @@ func (c *Cache) Put(key string, spec, result json.RawMessage) error {
 	if err != nil {
 		return fmt.Errorf("fsstore: encoding cache entry: %w", err)
 	}
-	final := c.path(key)
-	shard := filepath.Dir(final)
-	if err := os.MkdirAll(shard, 0o755); err != nil {
-		return fmt.Errorf("fsstore: creating cache shard: %w", err)
+	return WriteFileAtomic(c.path(key), "."+key[:8]+".tmp", data)
+}
+
+// WriteFileAtomic durably publishes data at path, creating its directory if
+// needed: the bytes go to a temp file in that directory named tmpPrefix plus
+// a random suffix, which is fsynced and renamed over path, and then the
+// directory is fsynced — so readers see the old file, the new file, or none
+// (never a torn write), and a crash after it returns cannot un-commit the
+// rename. Cache entries, manifest shards and the daemon's campaign manifests
+// all go through it.
+func WriteFileAtomic(path, tmpPrefix string, data []byte) error {
+	dir, name := filepath.Dir(path), filepath.Base(path)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return fmt.Errorf("fsstore: creating %s: %w", dir, err)
 	}
-	tmp, err := os.CreateTemp(shard, "."+key[:8]+".tmp*")
+	// CreateTemp appends its random suffix to a pattern without a "*".
+	tmp, err := os.CreateTemp(dir, tmpPrefix)
 	if err != nil {
-		return fmt.Errorf("fsstore: creating cache temp file: %w", err)
+		return fmt.Errorf("fsstore: creating temp file for %s: %w", name, err)
 	}
 	if _, err := tmp.Write(data); err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
-		return fmt.Errorf("fsstore: writing cache entry: %w", err)
+		return fmt.Errorf("fsstore: writing %s: %w", name, err)
 	}
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
-		return fmt.Errorf("fsstore: syncing cache entry: %w", err)
+		return fmt.Errorf("fsstore: syncing %s: %w", name, err)
 	}
 	if err := tmp.Close(); err != nil {
 		os.Remove(tmp.Name())
-		return fmt.Errorf("fsstore: closing cache entry: %w", err)
+		return fmt.Errorf("fsstore: closing %s: %w", name, err)
 	}
-	if err := os.Rename(tmp.Name(), final); err != nil {
+	if err := os.Rename(tmp.Name(), path); err != nil {
 		os.Remove(tmp.Name())
-		return fmt.Errorf("fsstore: committing cache entry: %w", err)
+		return fmt.Errorf("fsstore: committing %s: %w", name, err)
 	}
-	if err := SyncDir(shard); err != nil {
-		return err
-	}
-	return nil
+	return syncDir(dir)
 }
 
-// SyncDir fsyncs a directory so a just-renamed entry survives a crash.
+// syncDir fsyncs a directory so a just-renamed entry survives a crash.
 // Filesystems that cannot sync directories (EINVAL/ENOTSUP from network or
 // FUSE mounts) are tolerated: the rename is still atomic, only the
 // crash-durability window widens. Every other Sync error is a real
 // durability failure and propagates.
-func SyncDir(dir string) error {
+func syncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return fmt.Errorf("fsstore: opening dir for sync: %w", err)

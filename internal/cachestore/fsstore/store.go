@@ -23,8 +23,9 @@ type Config struct {
 	Dir string
 	// Schema versions entries, leases, and poison markers.
 	Schema string
-	// Owner is this process's lease identity (host-pid works). Required only
-	// when the lease side of the store is used.
+	// Owner is this process's lease identity (host-pid works). Leave it
+	// empty for a single-process store: no lease manager is opened, no
+	// leases/ subdirectory is created, and lease calls return an error.
 	Owner string
 	// TTL / Heartbeat / MaxAttempts tune the lease protocol; zero values take
 	// the lease package defaults.
@@ -57,17 +58,23 @@ var (
 	_ cachestore.ManifestStore = (*Store)(nil)
 )
 
-// OpenStore opens (creating if needed) the full filesystem store at cfg.Dir.
+// errNoOwner is what the lease side of a Store opened without an Owner
+// returns.
+var errNoOwner = errors.New("fsstore: store opened without Config.Owner has no leases")
+
+// OpenStore opens (creating if needed) the filesystem store at cfg.Dir. The
+// lease side is opened only when cfg.Owner is set.
 func OpenStore(cfg Config) (*Store, error) {
 	c, err := Open(cfg.Dir, cfg.Schema)
 	if err != nil {
 		return nil, err
 	}
 	c.Counters = cfg.Counters
+	s := &Store{cache: c, claims: make(map[string]*lease.Claim)}
 	if cfg.Owner == "" {
-		return nil, errors.New("fsstore: Config.Owner must not be empty")
+		return s, nil
 	}
-	mgr, err := lease.Open(lease.Config{
+	s.mgr, err = lease.Open(lease.Config{
 		Dir:         filepath.Join(cfg.Dir, cachestore.LeaseSubdir),
 		Owner:       cfg.Owner,
 		Schema:      cfg.Schema,
@@ -79,14 +86,7 @@ func OpenStore(cfg Config) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Store{cache: c, mgr: mgr, claims: make(map[string]*lease.Claim)}, nil
-}
-
-// WrapCacheAndManager builds a Store around an already-opened Cache and lease
-// Manager — the path the runner takes for callers that configured the legacy
-// Options.Cache/Options.Lease pair directly.
-func WrapCacheAndManager(c *Cache, mgr *lease.Manager) *Store {
-	return &Store{cache: c, mgr: mgr, claims: make(map[string]*lease.Claim)}
+	return s, nil
 }
 
 // Cache returns the underlying on-disk cache.
@@ -116,17 +116,35 @@ func (s *Store) Quarantine(_ context.Context, key string) error {
 // Len counts stored entries, excluding bookkeeping subtrees.
 func (s *Store) Len(_ context.Context) int { return s.cache.Len() }
 
-// Owner returns the lease identity.
-func (s *Store) Owner() string { return s.mgr.Owner() }
+// Owner returns the lease identity ("" without a lease side).
+func (s *Store) Owner() string {
+	if s.mgr == nil {
+		return ""
+	}
+	return s.mgr.Owner()
+}
 
-// TTL returns the lease staleness threshold.
-func (s *Store) TTL() time.Duration { return s.mgr.TTL() }
+// TTL returns the lease staleness threshold (0 without a lease side).
+func (s *Store) TTL() time.Duration {
+	if s.mgr == nil {
+		return 0
+	}
+	return s.mgr.TTL()
+}
 
-// HeartbeatEvery returns the lease renewal period.
-func (s *Store) HeartbeatEvery() time.Duration { return s.mgr.Heartbeat() }
+// HeartbeatEvery returns the lease renewal period (0 without a lease side).
+func (s *Store) HeartbeatEvery() time.Duration {
+	if s.mgr == nil {
+		return 0
+	}
+	return s.mgr.Heartbeat()
+}
 
 // Claim attempts to take the lease for key; see lease.Manager.Claim.
 func (s *Store) Claim(_ context.Context, key string) (cachestore.Lease, error) {
+	if s.mgr == nil {
+		return cachestore.Lease{}, errNoOwner
+	}
 	c, err := s.mgr.Claim(key)
 	if err != nil {
 		return cachestore.Lease{}, err
@@ -192,10 +210,18 @@ func (s *Store) PoisonKey(_ context.Context, key, specHash string, attempts int,
 }
 
 // Sweep removes stale leases among keys; see lease.Manager.Sweep.
-func (s *Store) Sweep(_ context.Context, keys []string) int { return s.mgr.Sweep(keys) }
+func (s *Store) Sweep(_ context.Context, keys []string) int {
+	if s.mgr == nil {
+		return 0
+	}
+	return s.mgr.Sweep(keys)
+}
 
 // LeaseStats snapshots the lease manager's lifetime counters.
 func (s *Store) LeaseStats() cachestore.LeaseStats {
+	if s.mgr == nil {
+		return cachestore.LeaseStats{}
+	}
 	st := s.mgr.Stats()
 	return cachestore.LeaseStats{
 		Acquired:  st.Acquired,
@@ -241,33 +267,7 @@ func PutManifestFile(cacheDir, name string, data []byte) error {
 	if err := ValidManifestName(name); err != nil {
 		return err
 	}
-	dir := filepath.Join(cacheDir, cachestore.ManifestSubdir)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("fsstore: creating manifest dir: %w", err)
-	}
-	tmp, err := os.CreateTemp(dir, "."+name+".tmp*")
-	if err != nil {
-		return fmt.Errorf("fsstore: creating manifest temp file: %w", err)
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("fsstore: writing manifest: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("fsstore: syncing manifest: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("fsstore: closing manifest: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(dir, name)); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("fsstore: committing manifest: %w", err)
-	}
-	return SyncDir(dir)
+	return WriteFileAtomic(filepath.Join(cacheDir, cachestore.ManifestSubdir, name), "."+name+".tmp", data)
 }
 
 // ListManifests returns the shard names under <cacheDir>/manifests/ in

@@ -12,6 +12,7 @@ import (
 	"gurita/internal/cachestore"
 	"gurita/internal/cachestore/conformancetest"
 	"gurita/internal/cachestore/fsstore"
+	"gurita/internal/leakcheck"
 )
 
 func TestConformance(t *testing.T) {
@@ -73,5 +74,158 @@ func BenchmarkFSStorePut(b *testing.B) {
 		if err := s.Put(ctx, key, spec, result); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// ownedStore opens owner's handle on the shared directory dir.
+func ownedStore(t *testing.T, dir, owner string, ttl, heartbeat time.Duration) *fsstore.Store {
+	t.Helper()
+	s, err := fsstore.OpenStore(fsstore.Config{
+		Dir: dir, Schema: "hb-v1", Owner: owner, TTL: ttl, Heartbeat: heartbeat,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// acquire claims key on s and fails the test unless the lease is acquired.
+func acquire(t *testing.T, s *fsstore.Store, key string) {
+	t.Helper()
+	l, err := s.Claim(context.Background(), key)
+	if err != nil || l.State != cachestore.LeaseAcquired {
+		t.Fatalf("%s claim = %+v, %v, want acquired", s.Owner(), l, err)
+	}
+}
+
+func hbKey(t *testing.T) string {
+	t.Helper()
+	key, err := cachestore.Key("hb-v1", "trial")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return key
+}
+
+// TestHeartbeatKeepsLeaseFresh: the production renewal loop keeps an fsstore
+// lease live across several TTLs of a peer watching it, and Stop joins the
+// loop.
+func TestHeartbeatKeepsLeaseFresh(t *testing.T) {
+	snap := leakcheck.Take()
+	defer snap.Check(t) // Stop must join the heartbeat goroutine
+	const ttl = 500 * time.Millisecond
+	dir, key, ctx := t.TempDir(), hbKey(t), context.Background()
+	w1 := ownedStore(t, dir, "w1", ttl, 50*time.Millisecond)
+	w2 := ownedStore(t, dir, "w2", ttl, 0)
+	acquire(t, w1, key)
+	hb := cachestore.StartHeartbeat(ctx, w1, key)
+	// Without renewals the peer would see the same (owner, seq) pair for a
+	// full TTL and reclaim; with them every sighting restarts its watch.
+	deadline := time.Now().Add(3 * ttl)
+	for time.Now().Before(deadline) {
+		l, err := w2.Claim(ctx, key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if l.State != cachestore.LeaseBusy {
+			t.Fatalf("peer claim during heartbeat = %+v, want busy", l)
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
+	hb.Stop()
+	if hb.Lost() {
+		t.Error("heartbeat reports lost despite continuous renewal")
+	}
+	w1.Release(ctx, key)
+}
+
+// TestHeartbeatStopsOnContextCancel: cancelling the context handed to
+// StartHeartbeat ends the renewal loop on its own, before any Stop — a
+// campaign abort must not leave detached heartbeats extending leases for
+// trials nobody is executing.
+func TestHeartbeatStopsOnContextCancel(t *testing.T) {
+	dir, key := t.TempDir(), hbKey(t)
+	// A period no test outlives: only the cancellation can end the loop.
+	w1 := ownedStore(t, dir, "w1", time.Hour, time.Hour)
+	acquire(t, w1, key)
+	snap := leakcheck.Take()
+	ctx, cancel := context.WithCancel(context.Background())
+	hb := cachestore.StartHeartbeat(ctx, w1, key)
+	cancel()
+	snap.Check(t)
+	hb.Stop()
+	w1.Release(context.Background(), key)
+}
+
+// TestHeartbeatLostOnTakeover: a holder that stalled past a peer's TTL finds
+// its lease reclaimed on the next renewal. The heartbeat marks itself lost
+// and exits on its own, and the usurper's lease stays untouched.
+func TestHeartbeatLostOnTakeover(t *testing.T) {
+	dir, key, ctx := t.TempDir(), hbKey(t), context.Background()
+	w1 := ownedStore(t, dir, "w1", time.Hour, 20*time.Millisecond)
+	w2 := ownedStore(t, dir, "w2", 100*time.Millisecond, 0)
+	acquire(t, w1, key)
+	// w1 "stalls" with no heartbeat running: w2 sights the unchanging lease,
+	// then reclaims it once its TTL has passed.
+	if l, err := w2.Claim(ctx, key); err != nil || l.State != cachestore.LeaseBusy {
+		t.Fatalf("peer sighting = %+v, %v, want busy", l, err)
+	}
+	time.Sleep(150 * time.Millisecond)
+	if l, err := w2.Claim(ctx, key); err != nil || l.State != cachestore.LeaseAcquired || !l.Reclaimed {
+		t.Fatalf("peer reclaim = %+v, %v, want acquired and reclaimed", l, err)
+	}
+
+	snap := leakcheck.Take()
+	hb := cachestore.StartHeartbeat(ctx, w1, key)
+	for deadline := time.Now().Add(2 * time.Second); !hb.Lost(); time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("heartbeat never discovered the takeover")
+		}
+	}
+	snap.Check(t) // the loop exits on its own once lost
+	hb.Stop()
+	if got := w1.LeaseStats().Lost; got != 1 {
+		t.Errorf("w1 lost leases = %d, want 1", got)
+	}
+	w1.Release(ctx, key)
+	if err := w2.Renew(ctx, key); err != nil {
+		t.Fatalf("usurper's lease disturbed by the lost holder: %v", err)
+	}
+	w2.Release(ctx, key)
+}
+
+// TestOpenStoreWithoutOwner: a store opened without an Owner is a plain
+// single-process cache. It creates no leases/ subdirectory, and its lease
+// calls fail or no-op instead of dereferencing a missing lease manager.
+func TestOpenStoreWithoutOwner(t *testing.T) {
+	dir, key, ctx := t.TempDir(), hbKey(t), context.Background()
+	s, err := fsstore.OpenStore(fsstore.Config{Dir: dir, Schema: "hb-v1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put(ctx, key, json.RawMessage(`"trial"`), json.RawMessage(`{"ok":true}`)); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.Get(ctx, key); !ok {
+		t.Fatal("miss after Put")
+	}
+	if _, err := s.Claim(ctx, key); err == nil {
+		t.Error("Claim without an owner succeeded")
+	}
+	if err := s.Renew(ctx, key); err == nil {
+		t.Error("Renew without an owner succeeded")
+	}
+	if err := s.PoisonKey(ctx, key, "hash", 1, nil); err == nil {
+		t.Error("PoisonKey without an owner succeeded")
+	}
+	s.Release(ctx, key)
+	if n := s.Sweep(ctx, []string{key}); n != 0 {
+		t.Errorf("Sweep removed %d leases", n)
+	}
+	if s.Owner() != "" || s.TTL() != 0 || s.HeartbeatEvery() != 0 || s.LeaseStats() != (cachestore.LeaseStats{}) {
+		t.Errorf("lease side of an ownerless store = %q %v %v %+v", s.Owner(), s.TTL(), s.HeartbeatEvery(), s.LeaseStats())
+	}
+	if _, err := os.Stat(filepath.Join(dir, cachestore.LeaseSubdir)); !os.IsNotExist(err) {
+		t.Errorf("ownerless store created %s/: %v", cachestore.LeaseSubdir, err)
 	}
 }

@@ -63,7 +63,9 @@ func CriticalSet(j *Job, weight WeightFunc) map[CoflowID]bool {
 
 	// v is critical iff the heaviest path through v attains the maximum.
 	const relEps = 1e-12
-	eps := total * relEps
+	// The conversion rounds the product, so no platform fuses it into the
+	// comparison below.
+	eps := float64(total * relEps)
 	out := make(map[CoflowID]bool)
 	for _, c := range j.Coflows {
 		through := below[c] + up[c] - weight(c)

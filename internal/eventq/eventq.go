@@ -1,15 +1,14 @@
 // Package eventq provides the time-ordered event queue that drives the
 // discrete-event simulator.
 //
-// Two implementations exist behind the Queue interface: a binary min-heap
-// (Heap, the reference) and a Brown-style calendar queue (Calendar, the
-// default) whose buckets give amortized O(1) schedule/pop under the
-// near-future-biased event distributions a discrete-event simulator
-// produces. Both order events by (Time, insertion sequence): events
-// scheduled for the same instant fire in FIFO order, so pop order — and
-// therefore every simulated trajectory — is a pure function of the
-// schedule calls, identical across implementations. The equivalence is
-// pinned by a randomized cross-check property test.
+// The queue is a Brown-style calendar queue (Calendar) whose buckets give
+// amortized O(1) schedule/pop under the near-future-biased event
+// distributions a discrete-event simulator produces. It orders events by
+// (Time, insertion sequence): events scheduled for the same instant fire in
+// FIFO order, so pop order — and therefore every simulated trajectory — is a
+// pure function of the schedule calls. A binary min-heap kept in the
+// package's tests is the reference: a randomized cross-check property test
+// requires the two to pop identically.
 //
 // Storage is a slab: events live in fixed-size chunks recycled through a
 // free list, and Schedule returns a value Handle (slot + generation)
@@ -19,47 +18,7 @@
 // recycled — is a no-op.
 package eventq
 
-import (
-	"fmt"
-	"math"
-)
-
-// Kind selects a queue implementation.
-type Kind int
-
-// Queue kinds. The zero value selects the calendar queue, the engine
-// default.
-const (
-	// KindCalendar is the calendar queue: events hash into time buckets of
-	// adaptive width, giving amortized O(1) schedule and pop.
-	KindCalendar Kind = iota
-	// KindHeap is the binary min-heap reference implementation.
-	KindHeap
-)
-
-func (k Kind) String() string {
-	switch k {
-	case KindCalendar:
-		return "calendar"
-	case KindHeap:
-		return "heap"
-	default:
-		return fmt.Sprintf("Kind(%d)", int(k))
-	}
-}
-
-// ParseKind maps a config string to a Kind; the empty string selects the
-// default (calendar).
-func ParseKind(s string) (Kind, error) {
-	switch s {
-	case "", "calendar":
-		return KindCalendar, nil
-	case "heap":
-		return KindHeap, nil
-	default:
-		return 0, fmt.Errorf("eventq: unknown queue kind %q (want \"calendar\" or \"heap\")", s)
-	}
-}
+import "math"
 
 // Handle identifies a scheduled event. It is a value — storing, copying,
 // and discarding handles never allocates. The zero Handle is "no event":
@@ -93,18 +52,8 @@ type Queue interface {
 	Pop() (t float64, fn func(), ok bool)
 }
 
-// New returns an empty queue of the given kind.
-func New(kind Kind) Queue {
-	switch kind {
-	case KindHeap:
-		return NewHeap()
-	default:
-		return NewCalendar()
-	}
-}
-
-// event is one slab slot. pos is implementation state: the heap index for
-// Heap, the successor slot for Calendar's bucket chains.
+// event is one slab slot. pos is implementation state: the successor slot
+// for Calendar's bucket chains, the heap index for the test-only Heap.
 type event struct {
 	time float64
 	seq  uint64
@@ -114,11 +63,11 @@ type event struct {
 	pos  int32
 }
 
-// store is the slab shared by both implementations: events live in
-// fixed-size chunks (stable addresses — a chunk is never reallocated or
-// moved) and freed slots recycle through a free list with a generation
-// bump, so the steady-state schedule/pop cycle allocates nothing and stale
-// handles never alias a recycled slot.
+// store is the slab behind the calendar queue (and the test-only Heap):
+// events live in fixed-size chunks (stable addresses — a chunk is never
+// reallocated or moved) and freed slots recycle through a free list with a
+// generation bump, so the steady-state schedule/pop cycle allocates nothing
+// and stale handles never alias a recycled slot.
 type store struct {
 	chunks  [][]event
 	free    []int32
@@ -196,123 +145,6 @@ func before(a, b *event) bool {
 		return false
 	}
 	return a.seq < b.seq
-}
-
-// Heap is the binary min-heap implementation: O(log n) schedule and pop,
-// eager O(log n) cancel. It is the reference the calendar queue is
-// cross-checked against.
-type Heap struct {
-	store
-	heap []int32
-}
-
-// NewHeap returns an empty binary-heap queue.
-func NewHeap() *Heap { return &Heap{} }
-
-// Len implements Queue.
-func (q *Heap) Len() int { return q.n }
-
-// Schedule implements Queue.
-//
-//alloc:free slot recycling + sift-up; heap growth amortizes to zero steady-state
-func (q *Heap) Schedule(t float64, fn func()) Handle {
-	slot := q.alloc(t, fn)
-	i := int32(len(q.heap))
-	q.heap = append(q.heap, slot)
-	q.at(slot).pos = i
-	q.up(i)
-	return q.handle(slot)
-}
-
-// Cancel implements Queue.
-//
-//alloc:free eager unlink returns the slot to the free list in place
-func (q *Heap) Cancel(h Handle) bool {
-	slot := q.resolve(h)
-	if slot < 0 {
-		return false
-	}
-	q.remove(q.at(slot).pos)
-	q.release(slot)
-	return true
-}
-
-// PeekTime implements Queue.
-func (q *Heap) PeekTime() (float64, bool) {
-	if len(q.heap) == 0 {
-		return 0, false
-	}
-	return q.at(q.heap[0]).time, true
-}
-
-// Pop implements Queue.
-//
-//alloc:free sift-down over preallocated storage; the fn value is returned, not boxed
-func (q *Heap) Pop() (float64, func(), bool) {
-	if len(q.heap) == 0 {
-		return 0, nil, false
-	}
-	slot := q.heap[0]
-	e := q.at(slot)
-	t, fn := e.time, e.fn
-	q.remove(0)
-	q.release(slot)
-	return t, fn, true
-}
-
-func (q *Heap) less(i, j int32) bool { return before(q.at(q.heap[i]), q.at(q.heap[j])) }
-
-func (q *Heap) swap(i, j int32) {
-	q.heap[i], q.heap[j] = q.heap[j], q.heap[i]
-	q.at(q.heap[i]).pos = i
-	q.at(q.heap[j]).pos = j
-}
-
-func (q *Heap) remove(i int32) {
-	last := int32(len(q.heap)) - 1
-	if i != last {
-		q.swap(i, last)
-	}
-	q.heap = q.heap[:last]
-	if i != last && i < last {
-		if !q.down(i) {
-			q.up(i)
-		}
-	}
-}
-
-func (q *Heap) up(i int32) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !q.less(i, parent) {
-			break
-		}
-		q.swap(i, parent)
-		i = parent
-	}
-}
-
-// down sifts the element at i toward the leaves; it reports whether the
-// element moved.
-func (q *Heap) down(i int32) bool {
-	start := i
-	n := int32(len(q.heap))
-	for {
-		left := 2*i + 1
-		if left >= n {
-			break
-		}
-		smallest := left
-		if right := left + 1; right < n && q.less(right, left) {
-			smallest = right
-		}
-		if !q.less(smallest, i) {
-			break
-		}
-		q.swap(i, smallest)
-		i = smallest
-	}
-	return i > start
 }
 
 // Calendar is the calendar queue (R. Brown, CACM 1988): events hash into

@@ -374,24 +374,6 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-func TestParseKind(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want Kind
-		err  bool
-	}{
-		{"", KindCalendar, false},
-		{"calendar", KindCalendar, false},
-		{"heap", KindHeap, false},
-		{"splay", 0, true},
-	} {
-		got, err := ParseKind(tc.in)
-		if (err != nil) != tc.err || got != tc.want {
-			t.Fatalf("ParseKind(%q) = %v, %v; want %v, err=%v", tc.in, got, err, tc.want, tc.err)
-		}
-	}
-}
-
 func benchScheduleAndPop(b *testing.B, q Queue) {
 	rng := rand.New(rand.NewSource(1))
 	noop := func() {}

@@ -33,7 +33,6 @@
 package lease
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -481,8 +480,9 @@ func (m *Manager) Sweep(keys []string) int {
 }
 
 // Claim is the outcome of Manager.Claim. For StateAcquired claims the
-// caller runs the trial bracketed by StartHeartbeat and Release/Poison; the
-// other states are informational.
+// caller runs the trial renewing the lease (cachestore.StartHeartbeat calls
+// Renew through fsstore) and ends it with Release/Poison; the other states
+// are informational.
 type Claim struct {
 	m   *Manager
 	Key string
@@ -499,41 +499,7 @@ type Claim struct {
 	// Poison is the quarantine record when poisoned.
 	Poison *Poison
 
-	lost   atomic.Bool
-	stopHB chan struct{}
-	hbDone chan struct{}
-}
-
-// StartHeartbeat begins renewing the lease every Config.Heartbeat until
-// Release/Poison (or a discovered takeover) stops it, or ctx is cancelled —
-// a campaign abort must not leave detached heartbeats extending leases for
-// trials nobody is executing. Each beat verifies ownership before touching
-// the file: a worker that was stopped long enough for a peer to reclaim
-// discovers the loss here, marks the claim Lost, and stops — it must not
-// resurrect or extend a lease it no longer owns.
-func (c *Claim) StartHeartbeat(ctx context.Context) {
-	if c.State != StateAcquired || c.stopHB != nil {
-		return
-	}
-	c.stopHB = make(chan struct{})
-	c.hbDone = make(chan struct{})
-	go func() {
-		defer close(c.hbDone)
-		t := time.NewTicker(c.m.cfg.Heartbeat)
-		defer t.Stop()
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-c.stopHB:
-				return
-			case <-t.C:
-				if !c.beat() {
-					return
-				}
-			}
-		}
-	}()
+	lost atomic.Bool
 }
 
 // Renew extends the lease once (one logical heartbeat): it verifies the
@@ -563,9 +529,6 @@ func (c *Claim) Renew() error {
 	return nil
 }
 
-// beat renews the lease once; false stops the heartbeat loop.
-func (c *Claim) beat() bool { return c.Renew() == nil }
-
 // markLost records a takeover exactly once per claim.
 func (c *Claim) markLost() {
 	if !c.lost.Swap(true) {
@@ -574,32 +537,16 @@ func (c *Claim) markLost() {
 	}
 }
 
-// Lost reports whether the heartbeat discovered a peer took the lease over.
+// Lost reports whether a renewal discovered a peer took the lease over.
 func (c *Claim) Lost() bool { return c.lost.Load() }
 
-// stop halts the heartbeat goroutine, if any.
-func (c *Claim) stop() {
-	if c.stopHB == nil {
-		return
-	}
-	select {
-	case <-c.stopHB:
-	default:
-		close(c.stopHB)
-	}
-	<-c.hbDone
-	c.stopHB = nil
-	c.hbDone = nil
-}
-
-// Release ends an acquired claim after its result is published: heartbeat
-// stopped, lease file removed (only if still ours — a usurper's lease is
-// its own to release). Safe to call on lost claims.
+// Release ends an acquired claim after its result is published: the lease
+// file is removed (only if still ours — a usurper's lease is its own to
+// release). Safe to call on lost claims.
 func (c *Claim) Release() {
 	if c.State != StateAcquired {
 		return
 	}
-	c.stop()
 	rec, mtime, ok := c.m.readLease(c.Key)
 	if mtime.IsZero() || !ok || rec.Owner != c.m.cfg.Owner {
 		c.markLost()

@@ -1,7 +1,6 @@
 package lease
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -11,8 +10,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"gurita/internal/leakcheck"
 )
 
 const testSchema = "lease-test-v1"
@@ -307,59 +304,6 @@ func TestForeignSchemaPoisonIgnored(t *testing.T) {
 	c.Release()
 }
 
-func TestHeartbeatKeepsLeaseFresh(t *testing.T) {
-	snap := leakcheck.Take()
-	defer snap.Check(t) // Release must join the heartbeat goroutine
-	dir := t.TempDir()
-	m1 := mustOpen(t, dir, "w1", func(c *Config) {
-		c.TTL = 300 * time.Millisecond
-		c.Heartbeat = 50 * time.Millisecond
-	})
-	m2 := mustOpen(t, dir, "w2", func(c *Config) { c.TTL = 300 * time.Millisecond })
-	c1, _ := m1.Claim("k")
-	if c1.State != StateAcquired {
-		t.Fatal("setup")
-	}
-	c1.StartHeartbeat(context.Background())
-	// Wait well past the TTL: without heartbeats the lease would be stale.
-	time.Sleep(600 * time.Millisecond)
-	c2, err := m2.Claim("k")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c2.State != StateBusy {
-		t.Fatalf("peer claim during heartbeat = %+v, want busy", c2)
-	}
-	c1.Release()
-	if c1.Lost() {
-		t.Error("claim reports lost despite continuous heartbeat")
-	}
-}
-
-// TestHeartbeatStopsOnContextCancel: cancelling the context handed to
-// StartHeartbeat stops the heartbeat goroutine on its own, before any
-// Release — a campaign abort must not leave detached heartbeats extending
-// leases for trials nobody is executing.
-func TestHeartbeatStopsOnContextCancel(t *testing.T) {
-	snap := leakcheck.Take()
-	dir := t.TempDir()
-	m := mustOpen(t, dir, "w1", func(c *Config) { c.Heartbeat = 20 * time.Millisecond })
-	c, err := m.Claim("k")
-	if err != nil || c.State != StateAcquired {
-		t.Fatalf("claim = %+v, %v, want acquired", c, err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	c.StartHeartbeat(ctx)
-	cancel()
-	select {
-	case <-c.hbDone:
-	case <-time.After(2 * time.Second):
-		t.Fatal("heartbeat goroutine did not exit on context cancel")
-	}
-	c.Release()
-	snap.Check(t)
-}
-
 func TestHeartbeatDetectsTakeover(t *testing.T) {
 	dir := t.TempDir()
 	m1 := mustOpen(t, dir, "w1", func(c *Config) { c.TTL = 10 * time.Second })
@@ -378,7 +322,7 @@ func TestHeartbeatDetectsTakeover(t *testing.T) {
 	if err != nil || c2.State != StateAcquired || !c2.Reclaimed {
 		t.Fatalf("forced reclaim = %+v, %v", c2, err)
 	}
-	// Our next renewal (the heartbeat's beat) must discover the takeover and
+	// Our next renewal must discover the takeover and
 	// mark the claim lost without touching the usurper's lease.
 	if err := c1.Renew(); !errors.Is(err, ErrLost) {
 		t.Fatalf("Renew after takeover = %v, want ErrLost", err)
@@ -542,24 +486,23 @@ func TestRenewBumpsSeq(t *testing.T) {
 // had and the reason liveness now watches (owner, seq) pairs.
 func TestLazyTimestampSafety(t *testing.T) {
 	dir := t.TempDir()
-	m1 := mustOpen(t, dir, "w1", func(c *Config) {
-		c.TTL = 400 * time.Millisecond
-		c.Heartbeat = 25 * time.Millisecond
-	})
+	m1 := mustOpen(t, dir, "w1", func(c *Config) { c.TTL = 400 * time.Millisecond })
 	m2 := mustOpen(t, dir, "w2", func(c *Config) { c.TTL = 400 * time.Millisecond })
 	c1, _ := m1.Claim("k")
 	if c1.State != StateAcquired {
 		t.Fatal("setup")
 	}
-	c1.StartHeartbeat(context.Background())
-	// Sabotage the mtime after every beat window, simulating a filesystem
-	// with lazy (or frozen) timestamps, while a peer keeps trying to claim.
+	// Renew, then sabotage the mtime, simulating a filesystem with lazy (or
+	// frozen) timestamps, while a peer keeps trying to claim.
 	deadline := time.Now().Add(1200 * time.Millisecond)
 	for time.Now().Before(deadline) {
+		if err := c1.Renew(); err != nil {
+			t.Fatalf("holder renew: %v", err)
+		}
 		past := time.Now().Add(-time.Hour)
-		// Ignore races with the heartbeat's atomic rewrite: the file may be
-		// mid-rename, and a miss just means the record keeps its fresh mtime.
-		_ = os.Chtimes(m1.leasePath("k"), past, past)
+		if err := os.Chtimes(m1.leasePath("k"), past, past); err != nil {
+			t.Fatal(err)
+		}
 		c2, err := m2.Claim("k")
 		if err != nil {
 			t.Fatalf("peer claim: %v", err)

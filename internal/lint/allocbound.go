@@ -31,7 +31,6 @@ func AllocGatePackages() []string {
 // heap-free or consciously renegotiate it here.
 var allocFreeContract = map[string][]string{
 	"gurita/internal/eventq": {
-		"Heap.Schedule", "Heap.Pop", "Heap.Cancel",
 		"Calendar.Schedule", "Calendar.Pop", "Calendar.Cancel",
 	},
 	"gurita/internal/slab": {

@@ -14,7 +14,6 @@ var concurrencyBearing = []string{
 	"gurita/internal/lease",
 	"gurita/internal/cachestore",
 	"gurita/internal/cachestore/fsstore",
-	"gurita/internal/cachestore/memstore",
 	"gurita/internal/cachestore/httpstore",
 	"gurita/internal/serve",
 	"gurita/internal/serve/cachehttp",

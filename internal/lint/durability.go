@@ -49,7 +49,7 @@ func runDurability(pass *Pass) error {
 			switch {
 			case isPkgFunc(pass, call, "os", "WriteFile"):
 				pass.Reportf(call.Pos(),
-					"direct os.WriteFile in a durability-critical package; write via a temp+fsync+rename helper (lease.writeFileAtomic / Cache.Put shape) so a crash cannot tear or lose the file")
+					"direct os.WriteFile in a durability-critical package; write via a temp+fsync+rename helper (fsstore.WriteFileAtomic) so a crash cannot tear or lose the file")
 			case isPkgFunc(pass, call, "os", "Create"):
 				pass.Reportf(call.Pos(),
 					"direct os.Create truncates in place in a durability-critical package; write via a temp+fsync+rename helper instead")

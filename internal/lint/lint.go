@@ -164,7 +164,6 @@ var outputBearing = append([]string{
 	// budgets) is their one justified source, carrying lint waivers.
 	"gurita/internal/cachestore",
 	"gurita/internal/cachestore/fsstore",
-	"gurita/internal/cachestore/memstore",
 	"gurita/internal/cachestore/httpstore",
 	"gurita/internal/serve/cachehttp",
 	"gurita/internal/obs",

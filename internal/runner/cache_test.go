@@ -8,7 +8,20 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"gurita/internal/cachestore"
+	"gurita/internal/cachestore/fsstore"
 )
+
+// openStore opens a single-process filesystem store (no lease side) over dir.
+func openStore(t testing.TB, dir, schema string) *fsstore.Store {
+	t.Helper()
+	st, err := fsstore.OpenStore(fsstore.Config{Dir: dir, Schema: schema})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
 
 func mustKey(t *testing.T, schema string, spec any) string {
 	t.Helper()
@@ -20,10 +33,7 @@ func mustKey(t *testing.T, schema string, spec any) string {
 }
 
 func TestCacheRoundTrip(t *testing.T) {
-	c, err := Open(t.TempDir(), "v1")
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := openStore(t, t.TempDir(), "v1").Cache()
 	spec := trial{Name: "rt", Seed: 7}
 	key := mustKey(t, "v1", spec)
 	if _, ok := c.Get(key); ok {
@@ -59,7 +69,7 @@ func TestCacheRoundTrip(t *testing.T) {
 }
 
 // corrupt overwrites a cache entry's file with arbitrary bytes.
-func corrupt(t *testing.T, c *Cache, key string, data []byte) {
+func corrupt(t *testing.T, c *fsstore.Cache, key string, data []byte) {
 	t.Helper()
 	if err := os.WriteFile(filepath.Join(c.Dir(), key[:2], key+".json"), data, 0o644); err != nil {
 		t.Fatal(err)
@@ -74,7 +84,7 @@ func TestCacheCorruptionIsMiss(t *testing.T) {
 	specJSON, _ := json.Marshal(spec)
 	resultJSON, _ := json.Marshal(run(spec))
 
-	valid := func(t *testing.T, c *Cache, key string) []byte {
+	valid := func(t *testing.T, c *fsstore.Cache, key string) []byte {
 		t.Helper()
 		if err := c.Put(key, specJSON, resultJSON); err != nil {
 			t.Fatal(err)
@@ -94,7 +104,7 @@ func TestCacheCorruptionIsMiss(t *testing.T) {
 		{"empty", func(v []byte) []byte { return nil }},
 		{"garbage", func(v []byte) []byte { return []byte("not json at all {") }},
 		{"wrong-key", func(v []byte) []byte {
-			var e entry
+			var e cachestore.Entry
 			if err := json.Unmarshal(v, &e); err != nil {
 				t.Fatal(err)
 			}
@@ -103,7 +113,7 @@ func TestCacheCorruptionIsMiss(t *testing.T) {
 			return out
 		}},
 		{"wrong-schema", func(v []byte) []byte {
-			var e entry
+			var e cachestore.Entry
 			if err := json.Unmarshal(v, &e); err != nil {
 				t.Fatal(err)
 			}
@@ -112,7 +122,7 @@ func TestCacheCorruptionIsMiss(t *testing.T) {
 			return out
 		}},
 		{"empty-result", func(v []byte) []byte {
-			var e entry
+			var e cachestore.Entry
 			if err := json.Unmarshal(v, &e); err != nil {
 				t.Fatal(err)
 			}
@@ -123,10 +133,8 @@ func TestCacheCorruptionIsMiss(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			c, err := Open(t.TempDir(), "v1")
-			if err != nil {
-				t.Fatal(err)
-			}
+			st := openStore(t, t.TempDir(), "v1")
+			c := st.Cache()
 			key := mustKey(t, "v1", spec)
 			corrupt(t, c, key, tc.mangled(valid(t, c, key)))
 			if _, ok := c.Get(key); ok {
@@ -139,7 +147,7 @@ func TestCacheCorruptionIsMiss(t *testing.T) {
 				executed.Add(1)
 				return run(s), nil
 			}
-			results, stats, err := Run(context.Background(), []trial{spec}, exec, Options{Workers: 1, Cache: c})
+			results, stats, err := Run(context.Background(), []trial{spec}, exec, Options{Workers: 1, Store: st})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -160,21 +168,15 @@ func TestCacheCorruptionIsMiss(t *testing.T) {
 // misses when reopened under v2, and the v2 run overwrites entries in place.
 func TestCacheSchemaMismatchAcrossOpens(t *testing.T) {
 	dir := t.TempDir()
-	c1, err := Open(dir, "v1")
-	if err != nil {
-		t.Fatal(err)
-	}
+	c1 := openStore(t, dir, "v1")
 	specs := grid(4)
 	exec := func(ctx context.Context, s trial) (outcome, error) { return run(s), nil }
-	if _, _, err := Run(context.Background(), specs, exec, Options{Workers: 2, Cache: c1}); err != nil {
+	if _, _, err := Run(context.Background(), specs, exec, Options{Workers: 2, Store: c1}); err != nil {
 		t.Fatal(err)
 	}
 
-	c2, err := Open(dir, "v2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, stats, err := Run(context.Background(), specs, exec, Options{Workers: 2, Cache: c2})
+	c2 := openStore(t, dir, "v2")
+	_, stats, err := Run(context.Background(), specs, exec, Options{Workers: 2, Store: c2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +184,7 @@ func TestCacheSchemaMismatchAcrossOpens(t *testing.T) {
 		t.Fatalf("v2 over v1 cache: stats = %+v, want 4 executed", stats)
 	}
 	// And a second v2 pass is fully warm again.
-	_, stats, err = Run(context.Background(), specs, exec, Options{Workers: 2, Cache: c2})
+	_, stats, err = Run(context.Background(), specs, exec, Options{Workers: 2, Store: c2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,14 +197,11 @@ func TestCacheSchemaMismatchAcrossOpens(t *testing.T) {
 // result does not decode into the caller's type re-executes instead of
 // failing.
 func TestCacheUndecodableResultIsMiss(t *testing.T) {
-	c, err := Open(t.TempDir(), "v1")
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := openStore(t, t.TempDir(), "v1")
 	spec := trial{Name: "u", Seed: 1}
 	key := mustKey(t, "v1", spec)
 	specJSON, _ := json.Marshal(spec)
-	if err := c.Put(key, specJSON, json.RawMessage(`"a string, not an outcome"`)); err != nil {
+	if err := st.Put(context.Background(), key, specJSON, json.RawMessage(`"a string, not an outcome"`)); err != nil {
 		t.Fatal(err)
 	}
 	var executed atomic.Int32
@@ -210,7 +209,7 @@ func TestCacheUndecodableResultIsMiss(t *testing.T) {
 		executed.Add(1)
 		return run(s), nil
 	}
-	results, _, err := Run(context.Background(), []trial{spec}, exec, Options{Workers: 1, Cache: c})
+	results, _, err := Run(context.Background(), []trial{spec}, exec, Options{Workers: 1, Store: st})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,10 +219,10 @@ func TestCacheUndecodableResultIsMiss(t *testing.T) {
 }
 
 func TestOpenValidation(t *testing.T) {
-	if _, err := Open("", "v1"); err == nil {
+	if _, err := fsstore.OpenStore(fsstore.Config{Schema: "v1"}); err == nil {
 		t.Fatal("empty dir accepted")
 	}
-	if _, err := Open(t.TempDir(), ""); err == nil {
+	if _, err := fsstore.OpenStore(fsstore.Config{Dir: t.TempDir()}); err == nil {
 		t.Fatal("empty schema accepted")
 	}
 }

@@ -7,6 +7,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"gurita/internal/cachestore"
+	"gurita/internal/cachestore/fsstore"
 )
 
 // countingCounters is a minimal Counters for asserting emission.
@@ -31,7 +34,7 @@ func (c *countingCounters) get(name string) int64 {
 }
 
 // putTrial stores a valid entry for spec and returns its key and file path.
-func putTrial(t *testing.T, c *Cache, spec trial) (string, string) {
+func putTrial(t *testing.T, c *fsstore.Cache, spec trial) (string, string) {
 	t.Helper()
 	key := mustKey(t, c.Schema(), spec)
 	specJSON, _ := json.Marshal(spec)
@@ -42,9 +45,9 @@ func putTrial(t *testing.T, c *Cache, spec trial) (string, string) {
 	return key, filepath.Join(c.Dir(), key[:2], key+".json")
 }
 
-func quarantined(t *testing.T, c *Cache) []string {
+func quarantined(t *testing.T, c *fsstore.Cache) []string {
 	t.Helper()
-	entries, err := os.ReadDir(filepath.Join(c.Dir(), QuarantineDir))
+	entries, err := os.ReadDir(filepath.Join(c.Dir(), cachestore.QuarantineDir))
 	if err != nil {
 		if os.IsNotExist(err) {
 			return nil
@@ -59,10 +62,7 @@ func quarantined(t *testing.T, c *Cache) []string {
 }
 
 func TestCacheResultTamperQuarantined(t *testing.T) {
-	c, err := Open(t.TempDir(), "v1")
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := openStore(t, t.TempDir(), "v1").Cache()
 	ctr := &countingCounters{}
 	c.Counters = ctr
 	key, path := putTrial(t, c, trial{Name: "tamper", Seed: 4})
@@ -102,10 +102,7 @@ func TestCacheResultTamperQuarantined(t *testing.T) {
 }
 
 func TestCacheSpecSwapQuarantined(t *testing.T) {
-	c, err := Open(t.TempDir(), "v1")
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := openStore(t, t.TempDir(), "v1").Cache()
 	ctr := &countingCounters{}
 	c.Counters = ctr
 	key, path := putTrial(t, c, trial{Name: "original", Seed: 1})
@@ -127,10 +124,7 @@ func TestCacheSpecSwapQuarantined(t *testing.T) {
 }
 
 func TestCacheUnparsableQuarantined(t *testing.T) {
-	c, err := Open(t.TempDir(), "v1")
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := openStore(t, t.TempDir(), "v1").Cache()
 	ctr := &countingCounters{}
 	c.Counters = ctr
 	key, path := putTrial(t, c, trial{Name: "torn", Seed: 2})
@@ -151,10 +145,7 @@ func TestCacheUnparsableQuarantined(t *testing.T) {
 
 func TestCacheSchemaMismatchIsPlainMiss(t *testing.T) {
 	dir := t.TempDir()
-	v1, err := Open(dir, "v1")
-	if err != nil {
-		t.Fatal(err)
-	}
+	v1 := openStore(t, dir, "v1").Cache()
 	ctr := &countingCounters{}
 	v1.Counters = ctr
 	spec := trial{Name: "legacy", Seed: 3}
@@ -163,10 +154,7 @@ func TestCacheSchemaMismatchIsPlainMiss(t *testing.T) {
 	// The same entry under a v2 cache is stale, not corrupt: plain miss,
 	// no quarantine. (The v2 key differs, so ask with the v1 key's file in
 	// place under v2's view of that key — i.e. same filename lookup.)
-	v2, err := Open(dir, "v2")
-	if err != nil {
-		t.Fatal(err)
-	}
+	v2 := openStore(t, dir, "v2").Cache()
 	v2.Counters = ctr
 	v1Key := mustKey(t, "v1", spec)
 	if _, ok := v2.Get(v1Key); ok {
@@ -185,10 +173,7 @@ func TestCacheSchemaMismatchIsPlainMiss(t *testing.T) {
 }
 
 func TestCacheLegacyEntryWithoutHashIsPlainMiss(t *testing.T) {
-	c, err := Open(t.TempDir(), "v1")
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := openStore(t, t.TempDir(), "v1").Cache()
 	ctr := &countingCounters{}
 	c.Counters = ctr
 	spec := trial{Name: "old", Seed: 6}
@@ -196,7 +181,7 @@ func TestCacheLegacyEntryWithoutHashIsPlainMiss(t *testing.T) {
 	specJSON, _ := json.Marshal(spec)
 	resultJSON, _ := json.Marshal(run(spec))
 	// Hand-write a pre-hash-era envelope (no result_sha256).
-	legacy, _ := json.MarshalIndent(entry{Schema: "v1", Key: key, Spec: specJSON, Result: resultJSON}, "", " ")
+	legacy, _ := json.MarshalIndent(cachestore.Entry{Schema: "v1", Key: key, Spec: specJSON, Result: resultJSON}, "", " ")
 	if err := os.MkdirAll(filepath.Join(c.Dir(), key[:2]), 0o755); err != nil {
 		t.Fatal(err)
 	}
@@ -215,10 +200,7 @@ func TestCacheLegacyEntryWithoutHashIsPlainMiss(t *testing.T) {
 // recomputation depends on: specs containing HTML-escapable characters
 // ('<', '>', '&') must re-derive their key from the stored envelope.
 func TestCacheEscapedSpecVerifies(t *testing.T) {
-	c, err := Open(t.TempDir(), "v1")
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := openStore(t, t.TempDir(), "v1").Cache()
 	spec := trial{Name: "a<b>&c", Seed: 8}
 	key, _ := putTrial(t, c, spec)
 	raw, ok := c.Get(key)
@@ -235,13 +217,10 @@ func TestCacheEscapedSpecVerifies(t *testing.T) {
 }
 
 func TestCacheLenSkipsBookkeepingSubtrees(t *testing.T) {
-	c, err := Open(t.TempDir(), "v1")
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := openStore(t, t.TempDir(), "v1").Cache()
 	putTrial(t, c, trial{Name: "one", Seed: 1})
 	putTrial(t, c, trial{Name: "two", Seed: 2})
-	for _, sub := range []string{LeaseSubdir, QuarantineDir, ManifestSubdir, campaignSubdir} {
+	for _, sub := range cachestore.BookkeepingSubdirs() {
 		dir := filepath.Join(c.Dir(), sub)
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			t.Fatal(err)

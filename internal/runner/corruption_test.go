@@ -13,7 +13,8 @@ import (
 	"testing"
 	"time"
 
-	"gurita/internal/lease"
+	"gurita/internal/cachestore"
+	"gurita/internal/cachestore/fsstore"
 )
 
 // corruptFile applies one of three seeded corruptions in place: truncation,
@@ -65,10 +66,6 @@ func TestResumeUnderCorruption(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			dir := t.TempDir()
-			cache, err := Open(dir, "v1")
-			if err != nil {
-				t.Fatal(err)
-			}
 
 			// Phase 1: run with a drain pulled after a few completions, so
 			// the cache is partially populated — the state a killed worker
@@ -77,13 +74,13 @@ func TestResumeUnderCorruption(t *testing.T) {
 			var once sync.Once
 			var done atomic.Int64
 			stopAfter := int64(3 + rng.Intn(8))
-			m1 := leaseMgr(t, cache, "w1")
-			_, _, err = Run(context.Background(), specs, func(ctx context.Context, s trial) (outcome, error) {
+			w1 := leaseStore(t, dir, "w1")
+			_, _, err := Run(context.Background(), specs, func(ctx context.Context, s trial) (outcome, error) {
 				if done.Add(1) == stopAfter {
 					once.Do(func() { close(drain) })
 				}
 				return run(s), nil
-			}, Options{Workers: 2, Cache: cache, Lease: m1, Drain: drain})
+			}, Options{Workers: 2, Store: w1, StoreLeases: w1, Drain: drain})
 			if err != nil && !errors.Is(err, ErrDrained) {
 				t.Fatal(err)
 			}
@@ -96,7 +93,7 @@ func TestResumeUnderCorruption(t *testing.T) {
 				if err != nil || d.IsDir() {
 					return nil
 				}
-				if strings.HasSuffix(path, ".json") && !strings.Contains(path, LeaseSubdir) {
+				if strings.HasSuffix(path, ".json") && !strings.Contains(path, cachestore.LeaseSubdir) {
 					entryPaths = append(entryPaths, path)
 				}
 				return nil
@@ -108,7 +105,7 @@ func TestResumeUnderCorruption(t *testing.T) {
 					corrupted++
 				}
 			}
-			leaseDir := filepath.Join(dir, LeaseSubdir)
+			leaseDir := filepath.Join(dir, cachestore.LeaseSubdir)
 			past := time.Now().Add(-time.Hour)
 			for i := 0; i < 3; i++ {
 				key := mustKey(t, "v1", specs[rng.Intn(len(specs))])
@@ -130,14 +127,9 @@ func TestResumeUnderCorruption(t *testing.T) {
 			// Phase 3: resume. The campaign must complete, re-executing
 			// exactly what was lost, byte-identically.
 			ctr := &countingCounters{}
-			cache2, err := Open(dir, "v1")
-			if err != nil {
-				t.Fatal(err)
-			}
-			cache2.Counters = ctr
-			m2 := leaseMgr(t, cache2, "w2", func(c *lease.Config) { c.Counters = ctr })
+			w2 := leaseStore(t, dir, "w2", func(c *fsstore.Config) { c.Counters = ctr })
 			res, stats, err := Run(context.Background(), specs, exec, Options{
-				Workers: 2, Cache: cache2, Lease: m2,
+				Workers: 2, Store: w2, StoreLeases: w2,
 			})
 			if err != nil {
 				t.Fatalf("resume failed: %v", err)
@@ -154,7 +146,7 @@ func TestResumeUnderCorruption(t *testing.T) {
 			// quarantine (tamper) or as a plain re-execution (truncation
 			// that killed the envelope → quarantined too, since it fails to
 			// parse). Structural bound: quarantine dir matches the counter.
-			q := quarantined(t, cache2)
+			q := quarantined(t, w2.Cache())
 			if int64(len(q)) != ctr.get("runner.cache.quarantined") {
 				t.Errorf("quarantine dir has %d files, counter says %d", len(q), ctr.get("runner.cache.quarantined"))
 			}
@@ -162,7 +154,7 @@ func TestResumeUnderCorruption(t *testing.T) {
 				t.Errorf("corrupted %d entries but nothing re-executed", corrupted)
 			}
 			// Stale ghost leases must have been reclaimed or swept: none left.
-			if files := leaseFiles(t, cache2); len(files) != 0 {
+			if files := leaseFiles(t, dir); len(files) != 0 {
 				t.Errorf("lease files left after resume: %v", files)
 			}
 			// Reclaims observed for ghost leases on trials that needed

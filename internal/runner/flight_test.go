@@ -17,10 +17,7 @@ import (
 // counted as a dedup (or cache) hit, and both campaigns must still see
 // correct results in grid order.
 func TestFlightCoalescesAcrossCampaigns(t *testing.T) {
-	cache, err := Open(t.TempDir(), "flight-test-v1")
-	if err != nil {
-		t.Fatal(err)
-	}
+	cache := openStore(t, t.TempDir(), "flight-test-v1")
 	flight := &Flight{}
 
 	var executions sync.Map // spec -> *int32
@@ -35,7 +32,7 @@ func TestFlightCoalescesAcrossCampaigns(t *testing.T) {
 		time.Sleep(50 * time.Millisecond)
 		return spec * 10, nil
 	}
-	opts := Options{Workers: 4, Cache: cache, Flight: flight}
+	opts := Options{Workers: 4, Store: cache, Flight: flight}
 
 	gridA := []int{1, 2, 3, 4}
 	gridB := []int{3, 4, 5, 6}
@@ -89,10 +86,7 @@ func TestFlightCoalescesAcrossCampaigns(t *testing.T) {
 // TestFlightLeaderFailurePropagates: a deterministic trial error reaches
 // both the leader and the coalesced duplicate.
 func TestFlightLeaderFailurePropagates(t *testing.T) {
-	cache, err := Open(t.TempDir(), "flight-err-v1")
-	if err != nil {
-		t.Fatal(err)
-	}
+	cache := openStore(t, t.TempDir(), "flight-err-v1")
 	flight := &Flight{}
 	var calls int32
 	leaderIn := make(chan struct{})
@@ -104,7 +98,7 @@ func TestFlightLeaderFailurePropagates(t *testing.T) {
 		<-proceed
 		return 0, errors.New("boom")
 	}
-	opts := Options{Workers: 1, Cache: cache, Flight: flight}
+	opts := Options{Workers: 1, Store: cache, Flight: flight}
 	var wg sync.WaitGroup
 	var err1, err2 error
 	wg.Add(2)
@@ -137,10 +131,7 @@ func TestFlightLeaderFailurePropagates(t *testing.T) {
 // campaign is cancelled mid-flight, a waiting duplicate from a healthy
 // campaign must re-run the trial instead of inheriting the cancellation.
 func TestFlightFollowerTakesOverAfterCancelledLeader(t *testing.T) {
-	cache, err := Open(t.TempDir(), "flight-takeover-v1")
-	if err != nil {
-		t.Fatal(err)
-	}
+	cache := openStore(t, t.TempDir(), "flight-takeover-v1")
 	flight := &Flight{}
 	leaderCtx, cancelLeader := context.WithCancel(context.Background())
 	leaderIn := make(chan struct{})
@@ -154,7 +145,7 @@ func TestFlightFollowerTakesOverAfterCancelledLeader(t *testing.T) {
 		}
 		return spec * 10, nil
 	}
-	opts := Options{Workers: 1, Cache: cache, Flight: flight}
+	opts := Options{Workers: 1, Store: cache, Flight: flight}
 	var wg sync.WaitGroup
 	var resF []int
 	var errL, errF error
@@ -188,10 +179,7 @@ func TestFlightFollowerTakesOverAfterCancelledLeader(t *testing.T) {
 // once, its release runs exactly once per admission, and cache hits bypass
 // the gate entirely.
 func TestGateOrdersAndReleases(t *testing.T) {
-	cache, err := Open(t.TempDir(), "gate-test-v1")
-	if err != nil {
-		t.Fatal(err)
-	}
+	cache := openStore(t, t.TempDir(), "gate-test-v1")
 	var admitted, released int32
 	gate := func(ctx context.Context, index int, key string) (func(), error) {
 		atomic.AddInt32(&admitted, 1)
@@ -202,7 +190,7 @@ func TestGateOrdersAndReleases(t *testing.T) {
 	}
 	exec := func(ctx context.Context, spec int) (int, error) { return spec, nil }
 	specs := []int{1, 2, 3}
-	if _, _, err := Run(context.Background(), specs, exec, Options{Workers: 2, Cache: cache, Gate: gate}); err != nil {
+	if _, _, err := Run(context.Background(), specs, exec, Options{Workers: 2, Store: cache, Gate: gate}); err != nil {
 		t.Fatal(err)
 	}
 	if admitted != 3 || released != 3 {
@@ -210,7 +198,7 @@ func TestGateOrdersAndReleases(t *testing.T) {
 	}
 	// Second run: all hits, gate untouched.
 	atomic.StoreInt32(&admitted, 0)
-	_, stats, err := Run(context.Background(), specs, exec, Options{Workers: 2, Cache: cache, Gate: gate})
+	_, stats, err := Run(context.Background(), specs, exec, Options{Workers: 2, Store: cache, Gate: gate})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,10 +214,7 @@ func TestGateOrdersAndReleases(t *testing.T) {
 // skips the rest, returns ErrDrained with partial results, and a rerun over
 // the same grid resumes from the cache.
 func TestDrainSoftStops(t *testing.T) {
-	cache, err := Open(t.TempDir(), "drain-test-v1")
-	if err != nil {
-		t.Fatal(err)
-	}
+	cache := openStore(t, t.TempDir(), "drain-test-v1")
 	drain := make(chan struct{})
 	firstDone := make(chan struct{})
 	var once sync.Once
@@ -251,7 +236,7 @@ func TestDrainSoftStops(t *testing.T) {
 	}()
 	specs := []int{1, 2, 3, 4, 5, 6, 7, 8}
 	results, stats, err := Run(context.Background(), specs, exec, Options{
-		Workers: 1, Cache: cache, Drain: drain,
+		Workers: 1, Store: cache, Drain: drain,
 	})
 	if !errors.Is(err, ErrDrained) {
 		t.Fatalf("err = %v, want ErrDrained", err)
@@ -271,7 +256,7 @@ func TestDrainSoftStops(t *testing.T) {
 	// Resumption: the same grid now completes, serving the drained run's
 	// work from the cache.
 	atomic.StoreInt32(&executed, 0)
-	results, stats, err = Run(context.Background(), specs, exec, Options{Workers: 1, Cache: cache})
+	results, stats, err = Run(context.Background(), specs, exec, Options{Workers: 1, Store: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,10 +273,7 @@ func TestDrainSoftStops(t *testing.T) {
 // TestDrainSkipsGateWaiters: trials parked at the admission gate when the
 // drain fires are skipped — not failed — while the admitted one finishes.
 func TestDrainSkipsGateWaiters(t *testing.T) {
-	cache, err := Open(t.TempDir(), "drain-gate-v1")
-	if err != nil {
-		t.Fatal(err)
-	}
+	cache := openStore(t, t.TempDir(), "drain-gate-v1")
 	drain := make(chan struct{})
 	var slots = make(chan struct{}, 1) // single admission slot, never released during the test
 	firstAdmitted := make(chan struct{})
@@ -317,7 +299,7 @@ func TestDrainSkipsGateWaiters(t *testing.T) {
 	}()
 	specs := []int{1, 2, 3, 4}
 	results, stats, err := Run(context.Background(), specs, exec, Options{
-		Workers: 2, Cache: cache, Gate: gate, Drain: drain, ContinueOnError: true,
+		Workers: 2, Store: cache, Gate: gate, Drain: drain, ContinueOnError: true,
 	})
 	if !errors.Is(err, ErrDrained) {
 		t.Fatalf("err = %v (stats %+v), want ErrDrained", err, stats)

@@ -208,10 +208,7 @@ func TestIntrospectorCloseIdempotent(t *testing.T) {
 
 func TestRunRecordsRetriesAndManifestIdentity(t *testing.T) {
 	dir := t.TempDir()
-	cache, err := Open(dir, "manifest-test-v1")
-	if err != nil {
-		t.Fatal(err)
-	}
+	cache := openStore(t, dir, "manifest-test-v1")
 	specs := []int{1, 2, 3}
 	calls := map[int]int{}
 	exec := func(_ context.Context, spec int) (int, error) {
@@ -228,7 +225,7 @@ func TestRunRecordsRetriesAndManifestIdentity(t *testing.T) {
 	}
 	var lastProgress Progress
 	results, stats, err := Run(context.Background(), specs, exec, Options{
-		Workers: 1, Cache: cache, Retries: 2, RetryBackoff: time.Millisecond,
+		Workers: 1, Store: cache, Retries: 2, RetryBackoff: time.Millisecond,
 		Transient:       func(err error) bool { return err.Error() == "transient hiccup" },
 		ContinueOnError: true,
 		Progress:        func(p Progress) { lastProgress = p },

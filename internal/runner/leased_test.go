@@ -13,33 +13,30 @@ import (
 	"testing"
 	"time"
 
-	"gurita/internal/lease"
+	"gurita/internal/cachestore"
+	"gurita/internal/cachestore/fsstore"
 )
 
-// leaseMgr opens a lease manager rooted in the cache's leases subdir, the
-// way the facade wires it in production.
-func leaseMgr(t *testing.T, c *Cache, owner string, mut ...func(*lease.Config)) *lease.Manager {
+// leaseStore opens one worker's handle on the shared cache dir under schema
+// "v1", with leases owned by owner — the way the facade wires it in
+// production.
+func leaseStore(t testing.TB, dir, owner string, mut ...func(*fsstore.Config)) *fsstore.Store {
 	t.Helper()
-	cfg := lease.Config{
-		Dir:    filepath.Join(c.Dir(), LeaseSubdir),
-		Owner:  owner,
-		Schema: c.Schema(),
-		TTL:    300 * time.Millisecond,
-	}
+	cfg := fsstore.Config{Dir: dir, Schema: "v1", Owner: owner, TTL: 300 * time.Millisecond}
 	for _, f := range mut {
 		f(&cfg)
 	}
-	m, err := lease.Open(cfg)
+	st, err := fsstore.OpenStore(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return m
+	return st
 }
 
-func leaseFiles(t *testing.T, c *Cache) []string {
+func leaseFiles(t *testing.T, dir string) []string {
 	t.Helper()
 	var out []string
-	entries, err := os.ReadDir(filepath.Join(c.Dir(), LeaseSubdir))
+	entries, err := os.ReadDir(filepath.Join(dir, cachestore.LeaseSubdir))
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
 			return nil
@@ -55,7 +52,7 @@ func leaseFiles(t *testing.T, c *Cache) []string {
 }
 
 // TestLeasedRunExactlyOnce races two in-process "worker processes" (separate
-// lease managers, shared cache dir) over one grid and asserts every trial
+// store handles, shared cache dir) over one grid and asserts every trial
 // executed exactly once across both, with identical results, and no lease
 // files left behind.
 func TestLeasedRunExactlyOnce(t *testing.T) {
@@ -76,16 +73,12 @@ func TestLeasedRunExactlyOnce(t *testing.T) {
 	outs := make([]runOut, 2)
 	var wg sync.WaitGroup
 	for w := 0; w < 2; w++ {
-		cache, err := Open(dir, "v1")
-		if err != nil {
-			t.Fatal(err)
-		}
-		m := leaseMgr(t, cache, fmt.Sprintf("w%d", w))
+		st := leaseStore(t, dir, fmt.Sprintf("w%d", w))
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			res, stats, err := Run(context.Background(), specs, exec, Options{
-				Workers: 4, Cache: cache, Lease: m,
+				Workers: 4, Store: st, StoreLeases: st,
 			})
 			outs[w] = runOut{res, stats, err}
 		}(w)
@@ -115,8 +108,7 @@ func TestLeasedRunExactlyOnce(t *testing.T) {
 	if served != 2*len(specs) {
 		t.Errorf("served sum = %d, want %d", served, 2*len(specs))
 	}
-	cache, _ := Open(dir, "v1")
-	if files := leaseFiles(t, cache); len(files) != 0 {
+	if files := leaseFiles(t, dir); len(files) != 0 {
 		t.Errorf("lease files left behind: %v", files)
 	}
 }
@@ -125,29 +117,26 @@ func TestLeasedRunExactlyOnce(t *testing.T) {
 // mid-trial without releasing) and asserts a fresh campaign reclaims it,
 // executes the trial, and reports the reclaim.
 func TestLeasedReclaimFromDeadOwner(t *testing.T) {
-	cache, err := Open(t.TempDir(), "v1")
-	if err != nil {
-		t.Fatal(err)
-	}
+	dir := t.TempDir()
 	specs := grid(3)
 	key := mustKey(t, "v1", specs[1])
 
-	dead := leaseMgr(t, cache, "dead-worker")
-	c, err := dead.Claim(key)
-	if err != nil || c.State != lease.StateAcquired {
+	dead := leaseStore(t, dir, "dead-worker")
+	c, err := dead.Claim(context.Background(), key)
+	if err != nil || c.State != cachestore.LeaseAcquired {
 		t.Fatalf("setup claim: %+v, %v", c, err)
 	}
 	// The owner "dies": no release, no heartbeat; age the lease stale.
 	past := time.Now().Add(-time.Minute)
-	leasePath := filepath.Join(cache.Dir(), LeaseSubdir, key+".lease")
+	leasePath := filepath.Join(dir, cachestore.LeaseSubdir, key+".lease")
 	if err := os.Chtimes(leasePath, past, past); err != nil {
 		t.Fatal(err)
 	}
 
-	m := leaseMgr(t, cache, "w1")
+	st := leaseStore(t, dir, "w1")
 	res, stats, err := Run(context.Background(), specs, func(_ context.Context, s trial) (outcome, error) {
 		return run(s), nil
-	}, Options{Workers: 2, Cache: cache, Lease: m})
+	}, Options{Workers: 2, Store: st, StoreLeases: st})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +149,7 @@ func TestLeasedReclaimFromDeadOwner(t *testing.T) {
 	if stats.Executed != len(specs) {
 		t.Errorf("Executed = %d, want %d", stats.Executed, len(specs))
 	}
-	if files := leaseFiles(t, cache); len(files) != 0 {
+	if files := leaseFiles(t, dir); len(files) != 0 {
 		t.Errorf("lease files left behind: %v", files)
 	}
 }
@@ -170,16 +159,14 @@ func TestLeasedReclaimFromDeadOwner(t *testing.T) {
 // campaign must serve the trial from the peer's publish (a dedup hit), not
 // execute it.
 func TestLeasedWaitsForLivePeer(t *testing.T) {
-	cache, err := Open(t.TempDir(), "v1")
-	if err != nil {
-		t.Fatal(err)
-	}
+	dir := t.TempDir()
 	specs := []trial{{Name: "shared", Seed: 9}}
 	key := mustKey(t, "v1", specs[0])
 
-	peer := leaseMgr(t, cache, "peer", func(c *lease.Config) { c.TTL = 5 * time.Second })
-	pc, err := peer.Claim(key)
-	if err != nil || pc.State != lease.StateAcquired {
+	longTTL := func(c *fsstore.Config) { c.TTL = 5 * time.Second }
+	peer := leaseStore(t, dir, "peer", longTTL)
+	pc, err := peer.Claim(context.Background(), key)
+	if err != nil || pc.State != cachestore.LeaseAcquired {
 		t.Fatalf("peer claim: %+v, %v", pc, err)
 	}
 
@@ -190,21 +177,21 @@ func TestLeasedWaitsForLivePeer(t *testing.T) {
 	var runErr error
 	go func() {
 		defer close(done)
-		m := leaseMgr(t, cache, "w1", func(c *lease.Config) { c.TTL = 5 * time.Second })
+		st := leaseStore(t, dir, "w1", longTTL)
 		res, stats, runErr = Run(context.Background(), specs, func(_ context.Context, s trial) (outcome, error) {
 			executed.Add(1)
 			return run(s), nil
-		}, Options{Workers: 1, Cache: cache, Lease: m})
+		}, Options{Workers: 1, Store: st, StoreLeases: st})
 	}()
 
 	// Let the campaign hit the busy lease, then publish as the peer would.
 	time.Sleep(150 * time.Millisecond)
 	specJSON, _ := json.Marshal(specs[0])
 	resultJSON, _ := json.Marshal(run(specs[0]))
-	if err := cache.Put(key, specJSON, resultJSON); err != nil {
+	if err := peer.Put(context.Background(), key, specJSON, resultJSON); err != nil {
 		t.Fatal(err)
 	}
-	pc.Release()
+	peer.Release(context.Background(), key)
 
 	select {
 	case <-done:
@@ -229,21 +216,18 @@ func TestLeasedWaitsForLivePeer(t *testing.T) {
 // ContinueOnError, which poisons it; worker 2 must inherit the quarantine
 // without executing, as a manifest entry marked Quarantined.
 func TestLeasedPoisonInheritance(t *testing.T) {
-	cache, err := Open(t.TempDir(), "v1")
-	if err != nil {
-		t.Fatal(err)
-	}
+	dir := t.TempDir()
 	specs := grid(4)
 	badIdx := 2
 	trialErr := errors.New("deterministic trial failure")
 
-	m1 := leaseMgr(t, cache, "w1")
+	w1 := leaseStore(t, dir, "w1")
 	_, stats1, err := Run(context.Background(), specs, func(_ context.Context, s trial) (outcome, error) {
 		if s == specs[badIdx] {
 			return outcome{}, trialErr
 		}
 		return run(s), nil
-	}, Options{Workers: 2, Cache: cache, Lease: m1, ContinueOnError: true})
+	}, Options{Workers: 2, Store: w1, StoreLeases: w1, ContinueOnError: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,11 +239,11 @@ func TestLeasedPoisonInheritance(t *testing.T) {
 	}
 
 	var executed atomic.Int64
-	m2 := leaseMgr(t, cache, "w2")
+	w2 := leaseStore(t, dir, "w2")
 	_, stats2, err := Run(context.Background(), specs, func(_ context.Context, s trial) (outcome, error) {
 		executed.Add(1)
 		return run(s), nil
-	}, Options{Workers: 2, Cache: cache, Lease: m2, ContinueOnError: true})
+	}, Options{Workers: 2, Store: w2, StoreLeases: w2, ContinueOnError: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,21 +272,20 @@ func TestLeasedPoisonInheritance(t *testing.T) {
 // TestLeasedPoisonAbortsWithoutContinueOnError: a poisoned trial fails the
 // campaign outright when graceful degradation is off.
 func TestLeasedPoisonAbortsWithoutContinueOnError(t *testing.T) {
-	cache, err := Open(t.TempDir(), "v1")
-	if err != nil {
-		t.Fatal(err)
-	}
+	dir := t.TempDir()
 	specs := []trial{{Name: "bad", Seed: 1}}
 	key := mustKey(t, "v1", specs[0])
-	m1 := leaseMgr(t, cache, "w1")
-	c, _ := m1.Claim(key)
-	if err := c.PoisonTrial("hash", 5, errors.New("crash loop")); err != nil {
+	w1 := leaseStore(t, dir, "w1")
+	if c, err := w1.Claim(context.Background(), key); err != nil || c.State != cachestore.LeaseAcquired {
+		t.Fatalf("setup claim: %+v, %v", c, err)
+	}
+	if err := w1.PoisonKey(context.Background(), key, "hash", 5, errors.New("crash loop")); err != nil {
 		t.Fatal(err)
 	}
-	m2 := leaseMgr(t, cache, "w2")
-	_, _, err = Run(context.Background(), specs, func(_ context.Context, s trial) (outcome, error) {
+	w2 := leaseStore(t, dir, "w2")
+	_, _, err := Run(context.Background(), specs, func(_ context.Context, s trial) (outcome, error) {
 		return run(s), nil
-	}, Options{Workers: 1, Cache: cache, Lease: m2})
+	}, Options{Workers: 1, Store: w2, StoreLeases: w2})
 	var pe *PoisonedError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want PoisonedError", err)
@@ -315,21 +298,18 @@ func TestLeasedPoisonAbortsWithoutContinueOnError(t *testing.T) {
 // TestLeasedDrainReleasesLeases: a drain mid-campaign must not leave lease
 // files behind for trials that were skipped or in flight.
 func TestLeasedDrainReleasesLeases(t *testing.T) {
-	cache, err := Open(t.TempDir(), "v1")
-	if err != nil {
-		t.Fatal(err)
-	}
+	dir := t.TempDir()
 	specs := grid(12)
 	drain := make(chan struct{})
 	var once sync.Once
 	var doneBeforeDrain atomic.Int64
-	m := leaseMgr(t, cache, "w1")
+	st := leaseStore(t, dir, "w1")
 	_, stats, err := Run(context.Background(), specs, func(_ context.Context, s trial) (outcome, error) {
 		if doneBeforeDrain.Add(1) == 4 {
 			once.Do(func() { close(drain) })
 		}
 		return run(s), nil
-	}, Options{Workers: 2, Cache: cache, Lease: m, Drain: drain})
+	}, Options{Workers: 2, Store: st, StoreLeases: st, Drain: drain})
 	if err != nil && !errors.Is(err, ErrDrained) {
 		t.Fatal(err)
 	}
@@ -339,7 +319,7 @@ func TestLeasedDrainReleasesLeases(t *testing.T) {
 	if stats.Skipped == 0 {
 		t.Error("drained campaign reports no skipped trials")
 	}
-	if files := leaseFiles(t, cache); len(files) != 0 {
+	if files := leaseFiles(t, dir); len(files) != 0 {
 		t.Errorf("lease files left behind after drain: %v", files)
 	}
 }
@@ -382,10 +362,7 @@ func TestFlightFollowerStallDeadline(t *testing.T) {
 
 	// Runner layer: a campaign sharing the stalled flight completes by
 	// executing independently.
-	cache, err := Open(t.TempDir(), "v1")
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := openStore(t, t.TempDir(), "v1")
 	specs := []trial{{Name: "k-trial", Seed: 3}}
 	key := mustKey(t, "v1", specs[0])
 	// Wedge a leader on this campaign's actual key.
@@ -400,7 +377,7 @@ func TestFlightFollowerStallDeadline(t *testing.T) {
 	<-stuckIn
 	res, stats, err := Run(context.Background(), specs, func(_ context.Context, s trial) (outcome, error) {
 		return run(s), nil
-	}, Options{Workers: 1, Cache: cache, Flight: flight})
+	}, Options{Workers: 1, Store: st, Flight: flight})
 	if err != nil {
 		t.Fatalf("campaign with stalled leader: %v", err)
 	}
@@ -464,29 +441,20 @@ func TestRetryJitterDeterministic(t *testing.T) {
 
 // BenchmarkMultiProcessOverhead measures the full per-trial cost of lease
 // mode on a cold execute: claim + heartbeat setup + trivial exec + cache
-// publish + release. The comparison point is the same path without a lease
-// manager; the delta is the multi-process tax. Pinned in BENCH_baseline.json.
+// publish + release. The comparison point is the same path without
+// StoreLeases; the delta is the multi-process tax. Pinned in BENCH_baseline.json.
 func BenchmarkMultiProcessOverhead(b *testing.B) {
-	cache, err := Open(b.TempDir(), "bench-v1")
-	if err != nil {
-		b.Fatal(err)
-	}
-	m, err := lease.Open(lease.Config{
-		Dir:    filepath.Join(cache.Dir(), LeaseSubdir),
-		Owner:  "bench",
-		Schema: cache.Schema(),
-		TTL:    time.Minute,
+	st := leaseStore(b, b.TempDir(), "bench", func(c *fsstore.Config) {
+		c.Schema = "bench-v1"
+		c.TTL = time.Minute
 	})
-	if err != nil {
-		b.Fatal(err)
-	}
 	exec := func(_ context.Context, s trial) (outcome, error) { return run(s), nil }
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		specs := []trial{{Name: "bench", Seed: int64(i)}}
 		if _, _, err := Run(context.Background(), specs, exec, Options{
-			Workers: 1, Cache: cache, Lease: m,
+			Workers: 1, Store: st, StoreLeases: st,
 		}); err != nil {
 			b.Fatal(err)
 		}

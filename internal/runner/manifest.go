@@ -11,6 +11,8 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+
+	"gurita/internal/cachestore"
 )
 
 // WorkerManifest is one worker process's account of a multi-process
@@ -78,7 +80,7 @@ func GridHash(keys []string) string {
 
 // manifestDir is where shards live inside a cache root.
 func manifestDir(cacheDir string) string {
-	return filepath.Join(cacheDir, ManifestSubdir)
+	return filepath.Join(cacheDir, cachestore.ManifestSubdir)
 }
 
 // ManifestName is the canonical shard filename for an owner on a grid:
@@ -91,9 +93,8 @@ func ManifestName(owner, grid string) string {
 	return fmt.Sprintf("%s-%s.json", owner, grid)
 }
 
-// EncodeWorkerManifest renders a shard with the exact bytes
-// WriteWorkerManifest persists, for callers publishing through a remote
-// manifest store instead of the local filesystem.
+// EncodeWorkerManifest renders a shard's bytes, which callers publish under
+// ManifestName through cachestore.ManifestStore.PutManifest.
 func EncodeWorkerManifest(m WorkerManifest) ([]byte, error) {
 	if m.Owner == "" || m.Grid == "" || m.Schema == "" {
 		return nil, fmt.Errorf("runner: worker manifest needs owner, grid, and schema")
@@ -103,47 +104,6 @@ func EncodeWorkerManifest(m WorkerManifest) ([]byte, error) {
 		return nil, fmt.Errorf("runner: encoding worker manifest: %w", err)
 	}
 	return data, nil
-}
-
-// WriteWorkerManifest atomically writes the shard into <cacheDir>/manifests/
-// as <owner>-<grid[:8]>.json and returns its path.
-func WriteWorkerManifest(cacheDir string, m WorkerManifest) (string, error) {
-	data, err := EncodeWorkerManifest(m)
-	if err != nil {
-		return "", err
-	}
-	dir := manifestDir(cacheDir)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return "", fmt.Errorf("runner: creating manifest dir: %w", err)
-	}
-	name := ManifestName(m.Owner, m.Grid)
-	final := filepath.Join(dir, name)
-	tmp, err := os.CreateTemp(dir, "."+name+".tmp*")
-	if err != nil {
-		return "", fmt.Errorf("runner: creating manifest temp file: %w", err)
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return "", fmt.Errorf("runner: writing worker manifest: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return "", fmt.Errorf("runner: syncing worker manifest: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return "", fmt.Errorf("runner: closing worker manifest: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), final); err != nil {
-		os.Remove(tmp.Name())
-		return "", fmt.Errorf("runner: committing worker manifest: %w", err)
-	}
-	if err := syncDir(dir); err != nil {
-		return "", err
-	}
-	return final, nil
 }
 
 // LoadWorkerManifests reads every shard under <cacheDir>/manifests/ that

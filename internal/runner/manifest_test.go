@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -31,12 +32,22 @@ func TestWorkerManifestRoundTrip(t *testing.T) {
 		Failures: []TrialFailure{{Index: 2, Key: "k3", Err: "boom", Attempts: 2, SpecHash: "h3"}},
 	}, map[string]int64{"lease.acquired": 2})
 
-	path, err := WriteWorkerManifest(dir, m)
-	if err != nil {
-		t.Fatal(err)
+	// Shards are published through the store's manifest side, the way the
+	// facade flushes them.
+	st := openStore(t, dir, "v1")
+	put := func(m WorkerManifest) {
+		t.Helper()
+		data, err := EncodeWorkerManifest(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.PutManifest(context.Background(), ManifestName(m.Owner, m.Grid), data); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if filepath.Base(path) != "w1-"+grid[:8]+".json" {
-		t.Errorf("shard name = %s", filepath.Base(path))
+	put(m)
+	if _, err := os.Stat(filepath.Join(manifestDir(dir), "w1-"+grid[:8]+".json")); err != nil {
+		t.Errorf("shard not stored as <owner>-<grid[:8]>.json: %v", err)
 	}
 	got, err := LoadWorkerManifests(dir, "v1", grid)
 	if err != nil {
@@ -48,9 +59,7 @@ func TestWorkerManifestRoundTrip(t *testing.T) {
 
 	// Rewriting the same shard overwrites rather than accumulates.
 	m.Executed = 3
-	if _, err := WriteWorkerManifest(dir, m); err != nil {
-		t.Fatal(err)
-	}
+	put(m)
 	got, _ = LoadWorkerManifests(dir, "v1", grid)
 	if len(got) != 1 || got[0].Executed != 3 {
 		t.Fatalf("rewrite = %+v", got)

@@ -8,12 +8,12 @@
 // spec into a simulator run. Because every trial is pure (output a function
 // of spec alone), each one gets a content-addressed key — the SHA-256 of its
 // canonical spec JSON plus a schema version — and finished results can be
-// persisted in a Cache keyed by it. Re-running the same grid, after a crash,
+// persisted in a cachestore.Store keyed by it. Re-running the same grid, after a crash,
 // a Ctrl-C, or on a later day, skips every cache hit and recomputes only
 // what is missing; Options.Force is the escape hatch.
 //
 // Serving extensions: long-running drivers (the guritad daemon) share one
-// Cache and one Flight across many concurrent campaigns, gate each
+// Store and one Flight across many concurrent campaigns, gate each
 // execution through an admission hook (Options.Gate — the daemon's
 // per-tenant fair queue), and stop gracefully through Options.Drain, which
 // finishes in-flight trials, skips the rest, and returns ErrDrained with
@@ -34,8 +34,6 @@ import (
 	"time"
 
 	"gurita/internal/cachestore"
-	"gurita/internal/cachestore/fsstore"
-	"gurita/internal/lease"
 )
 
 // Key returns the content-addressed cache key of a spec: the hex SHA-256 of
@@ -128,7 +126,7 @@ type Stats struct {
 	// successful and failed.
 	Retries int
 	// Reclaims is how many stale peer leases this campaign took over in
-	// multi-process mode (Options.Lease): each one is a trial some worker
+	// multi-process mode (Options.StoreLeases): each one is a trial some worker
 	// process started and died (or wedged) inside.
 	Reclaims int
 	// LeaseLost is how many of this campaign's own leases were taken over by
@@ -153,24 +151,20 @@ type Stats struct {
 type Options struct {
 	// Workers is the worker-pool size; <= 0 means runtime.NumCPU().
 	Workers int
-	// Cache persists finished trials; nil disables caching.
-	//
-	// Cache is the filesystem-backed convenience form: it is equivalent to
-	// setting Store to an fsstore backend over the same directory. Drivers
-	// that want a different backend (in-memory for tests, a remote guritad
-	// cache over HTTP) set Store instead; when both are set, Store wins.
-	Cache *Cache
-	// Store, when non-nil, persists finished trials through a pluggable
-	// content-addressed backend (fsstore, memstore, httpstore). It subsumes
-	// Cache: the runner only ever talks to this interface, and a configured
-	// Cache is wrapped into one internally.
+	// Store, when non-nil, persists finished trials through a
+	// content-addressed backend (fsstore or httpstore); nil disables caching.
 	Store cachestore.Store
 	// StoreLeases, when non-nil and combined with Store, turns the campaign
-	// multi-process through the backend's lease primitives — the pluggable
-	// form of Lease, and like Store it wins when both are set. The backend
-	// decides what "multi-process" spans: fsstore coordinates processes
-	// sharing a directory, httpstore coordinates workers on different
-	// machines through one daemon.
+	// multi-process: before executing a cache miss the worker claims the
+	// trial's key, heartbeats while executing, waits out live peers (their
+	// publish lands in the store and counts as a DedupHit), reclaims stale
+	// leases from dead peers, and inherits poison markers as quarantined
+	// failures. The backend decides what "multi-process" spans: fsstore
+	// coordinates processes sharing a directory, httpstore coordinates
+	// workers on different machines through one daemon. Ignored under Force
+	// (a forced run re-executes unconditionally, so coordination would only
+	// serialize it — drivers that want both should partition the grid
+	// instead).
 	StoreLeases cachestore.LeaseStore
 	// Force ignores existing cache entries (results are still written back,
 	// overwriting them).
@@ -202,10 +196,10 @@ type Options struct {
 	// hours of healthy ones. Without it the first failure aborts the run.
 	ContinueOnError bool
 
-	// Flight, when non-nil and combined with a Cache, coalesces concurrent
+	// Flight, when non-nil and combined with a Store, coalesces concurrent
 	// executions of identical keys across every campaign sharing the
 	// instance: one execution runs, duplicates wait and count as DedupHits.
-	// All sharers must use the same result type R and cache schema.
+	// All sharers must use the same result type R and store schema.
 	Flight *Flight
 	// Gate, when non-nil, admits each execution (cache misses only) through
 	// an external queue — see Gate. Nil runs every miss immediately.
@@ -217,17 +211,6 @@ type Options struct {
 	// the checkpoint half of "finish or checkpoint": everything completed
 	// is in the cache, so resubmitting the same grid resumes it.
 	Drain <-chan struct{}
-
-	// Lease, when non-nil and combined with a Cache, turns the campaign
-	// multi-process: before executing a cache miss the worker claims the
-	// trial's key through the lease manager (crash-safe lease files in the
-	// shared cache directory), heartbeats while executing, waits out live
-	// peers (their publish lands in the cache and counts as a DedupHit),
-	// reclaims stale leases from dead peers, and inherits poison markers as
-	// quarantined failures. Requires Cache; ignored under Force (a forced
-	// run re-executes unconditionally, so coordination would only serialize
-	// it — drivers that want both should partition the grid instead).
-	Lease *lease.Manager
 }
 
 func (o Options) workers() int {
@@ -235,27 +218,6 @@ func (o Options) workers() int {
 		return runtime.NumCPU()
 	}
 	return o.Workers
-}
-
-// stores normalizes the two configuration generations onto the interfaces
-// the runner actually executes against: an explicit Store/StoreLeases pair
-// wins; a legacy Cache (and Lease) is wrapped into the filesystem backend.
-// Returns (nil, nil) for an uncached run.
-func (o Options) stores() (cachestore.Store, cachestore.LeaseStore) {
-	store, leases := o.Store, o.StoreLeases
-	if store == nil && o.Cache != nil {
-		fs := fsstore.WrapCacheAndManager(o.Cache, o.Lease)
-		store = fs
-		if leases == nil && o.Lease != nil {
-			leases = fs
-		}
-	}
-	if store == nil {
-		// Leases coordinate duplicate *publishes*; without a store there is
-		// nothing to publish, so a lease layer alone is meaningless.
-		return nil, nil
-	}
-	return store, leases
 }
 
 // hitKind classifies how a trial's result was obtained.
@@ -272,7 +234,7 @@ const (
 // output is always the result of specs[i], so aggregation downstream is
 // deterministic no matter how execution interleaves.
 //
-// With a Cache, each spec's key is looked up first; hits are decoded into R
+// With a Store, each spec's key is looked up first; hits are decoded into R
 // and skip exec, misses execute and are persisted as they finish (one file
 // per trial, written atomically), so an interrupted campaign loses at most
 // the trials in flight. R must round-trip through encoding/json for caching
@@ -292,7 +254,12 @@ func Run[S, R any](ctx context.Context, specs []S, exec func(ctx context.Context
 		return results, stats, ctx.Err()
 	}
 
-	store, leases := opts.stores()
+	store, leases := opts.Store, opts.StoreLeases
+	if store == nil {
+		// Leases coordinate duplicate publishes; without a store there is
+		// nothing to publish, so a lease layer alone is meaningless.
+		leases = nil
+	}
 
 	// Key every spec up front: a spec that cannot be hashed is a programming
 	// error better reported before any work starts. Spec hashes (schema-free)
@@ -485,7 +452,7 @@ feed:
 		// Sweep stale leases over this grid's keys: leftovers of workers
 		// that died after publishing but before releasing, and of our own
 		// claims lost to takeover races. Live peers' fresh leases survive.
-		if store != nil && !opts.Force {
+		if !opts.Force {
 			leases.Sweep(ctx, keys)
 		}
 	}
@@ -569,7 +536,7 @@ func runOne[S, R any](ctx, gateCtx context.Context, index int, spec S, key, spec
 	// was answered by a peer's publish" for hit classification.
 	peerServed := false
 	execute := executeDirect
-	if leases != nil && store != nil && !opts.Force && key != "" {
+	if leases != nil && !opts.Force && key != "" {
 		execute = func() (R, int, error) {
 			r, att, served, lerr := runLeased[R](ctx, gateCtx, key, specHash, store, leases, opts, executeDirect)
 			peerServed = served

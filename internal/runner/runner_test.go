@@ -150,10 +150,7 @@ func TestRunCancellation(t *testing.T) {
 // TestRunResume: an interrupted cached campaign picks up where it stopped —
 // the second invocation executes only the missing trials.
 func TestRunResume(t *testing.T) {
-	cache, err := Open(t.TempDir(), "v1")
-	if err != nil {
-		t.Fatal(err)
-	}
+	cache := openStore(t, t.TempDir(), "v1")
 	specs := grid(10)
 	ctx, cancel := context.WithCancel(context.Background())
 	var executed atomic.Int32
@@ -163,7 +160,7 @@ func TestRunResume(t *testing.T) {
 		}
 		return run(s), nil
 	}
-	if _, _, err := Run(ctx, specs, exec, Options{Workers: 1, Cache: cache}); !errors.Is(err, context.Canceled) {
+	if _, _, err := Run(ctx, specs, exec, Options{Workers: 1, Store: cache}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("first run err = %v, want context.Canceled", err)
 	}
 	interrupted := int(executed.Load())
@@ -176,7 +173,7 @@ func TestRunResume(t *testing.T) {
 		executed.Add(1)
 		return run(s), nil
 	}
-	results, stats, err := Run(context.Background(), specs, resumed, Options{Workers: 1, Cache: cache})
+	results, stats, err := Run(context.Background(), specs, resumed, Options{Workers: 1, Store: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +187,7 @@ func TestRunResume(t *testing.T) {
 	}
 
 	// Third run: fully warm, nothing executes.
-	_, stats, err = Run(context.Background(), specs, resumed, Options{Workers: 4, Cache: cache})
+	_, stats, err = Run(context.Background(), specs, resumed, Options{Workers: 4, Store: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,21 +197,18 @@ func TestRunResume(t *testing.T) {
 }
 
 func TestRunForceReexecutes(t *testing.T) {
-	cache, err := Open(t.TempDir(), "v1")
-	if err != nil {
-		t.Fatal(err)
-	}
+	cache := openStore(t, t.TempDir(), "v1")
 	specs := grid(6)
 	var executed atomic.Int32
 	exec := func(ctx context.Context, s trial) (outcome, error) {
 		executed.Add(1)
 		return run(s), nil
 	}
-	if _, _, err := Run(context.Background(), specs, exec, Options{Workers: 2, Cache: cache}); err != nil {
+	if _, _, err := Run(context.Background(), specs, exec, Options{Workers: 2, Store: cache}); err != nil {
 		t.Fatal(err)
 	}
 	executed.Store(0)
-	_, stats, err := Run(context.Background(), specs, exec, Options{Workers: 2, Cache: cache, Force: true})
+	_, stats, err := Run(context.Background(), specs, exec, Options{Workers: 2, Store: cache, Force: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,7 +32,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io/fs"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -43,6 +42,8 @@ import (
 	"time"
 
 	gurita "gurita"
+	"gurita/internal/cachestore"
+	"gurita/internal/cachestore/fsstore"
 	"gurita/internal/metrics"
 	"gurita/internal/obs"
 	"gurita/internal/runner"
@@ -247,7 +248,7 @@ func New(cfg Config) (*Server, error) {
 // Handler returns the daemon's HTTP API.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-func manifestDir(cacheDir string) string { return filepath.Join(cacheDir, "campaigns") }
+func manifestDir(cacheDir string) string { return filepath.Join(cacheDir, cachestore.CampaignSubdir) }
 
 // Drain begins graceful shutdown: new submissions are refused with 503,
 // health reports draining, queued trials are skipped, and in-flight trials
@@ -540,9 +541,9 @@ func (s *Server) settle(c *campaign, done int) {
 }
 
 // flushManifest writes the campaign's terminal record atomically and
-// durably: temp file in the manifest directory, fsync, rename, directory
-// fsync — the same protocol as the cache's Put, so a crash immediately
-// after a drain cannot lose the manifest a resume would read.
+// durably through the cache's own write protocol (fsstore.WriteFileAtomic),
+// so a crash immediately after a drain cannot lose the manifest a resume
+// would read.
 func (s *Server) flushManifest(c *campaign) error {
 	c.mu.Lock()
 	m := Manifest{
@@ -563,49 +564,7 @@ func (s *Server) flushManifest(c *campaign) error {
 	if err != nil {
 		return err
 	}
-	dir := manifestDir(s.cfg.CacheDir)
-	tmp, err := os.CreateTemp(dir, c.id+".tmp-*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(append(data, '\n')); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(dir, c.id+".json")); err != nil {
-		return err
-	}
-	return syncDir(dir)
-}
-
-// syncDir fsyncs the manifest directory so a just-renamed manifest survives
-// a crash. Filesystems that cannot sync directories (EINVAL/ENOTSUP) are
-// tolerated: the rename is still atomic, only the durability window widens.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("serve: opening manifest dir for sync: %w", err)
-	}
-	err = d.Sync()
-	//lint:ignore durability read-only directory handle; Sync's error above is the durable signal
-	d.Close()
-	if err != nil && (errors.Is(err, fs.ErrInvalid) || errors.Is(err, errors.ErrUnsupported)) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("serve: syncing manifest dir: %w", err)
-	}
-	return nil
+	return fsstore.WriteFileAtomic(filepath.Join(manifestDir(s.cfg.CacheDir), c.id+".json"), c.id+".tmp-", append(data, '\n'))
 }
 
 // doc renders the campaign's status document.

@@ -345,11 +345,6 @@ type Config struct {
 	// always folded into Result.Counters: results are a pure function of the
 	// scenario, never of observability settings.
 	Registry *obs.Registry
-	// EventQueue selects the event-queue implementation (default calendar).
-	// Both kinds pop in identical (time, FIFO) order, so the trajectory is
-	// byte-identical either way; the knob exists for cross-implementation
-	// equivalence tests and as an escape hatch.
-	EventQueue eventq.Kind
 }
 
 func (c *Config) applyDefaults() {
@@ -462,7 +457,7 @@ type Simulator struct {
 	sched Scheduler
 	alloc *netmod.Allocator
 
-	queue eventq.Queue
+	queue *eventq.Calendar
 	now   float64
 
 	// jobs are built by BuildStates; coflows counts their coflow states
@@ -563,7 +558,7 @@ func New(cfg Config, sched Scheduler, jobs []*coflow.Job) (*Simulator, error) {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
 	s := &Simulator{cfg: cfg, sched: sched, alloc: alloc}
-	s.queue = eventq.New(cfg.EventQueue)
+	s.queue = eventq.NewCalendar()
 	// The tick and completion-marker actions are hoisted here so the
 	// steady-state event path schedules them without materializing a new
 	// closure per event (part of the 0 allocs/op contract pinned by
