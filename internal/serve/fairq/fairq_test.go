@@ -2,10 +2,13 @@ package fairq
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"math"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -23,11 +26,11 @@ func waitFor(t *testing.T, cond func() bool) {
 	}
 }
 
-// saturateOrder builds a full backlog behind a plugged slot, then releases
-// the plug and drains the queue, returning the grant order (plug excluded).
-// Slots=1 plus a pre-built backlog makes the order fully deterministic:
-// every release triggers exactly one dispatch decision over the whole
-// remaining backlog.
+// saturateOrder builds a full backlog behind plugged slots, then releases
+// the plugs and drains the queue, returning the grant order (plugs
+// excluded). A pre-built backlog makes the order fully deterministic for any
+// slot count: each dispatch decision sees the whole remaining backlog and
+// depends only on the grants before it, never on when releases land.
 func saturateOrder(t *testing.T, cfg Config, weights map[string]float64, backlog map[string]int) ([]string, *Queue) {
 	t.Helper()
 	var order []string
@@ -44,9 +47,13 @@ func saturateOrder(t *testing.T, cfg Config, weights map[string]float64, backlog
 	for _, id := range ids {
 		q.SetTenant(id, weights[id])
 	}
-	plugRelease, err := q.Acquire(context.Background(), "plug")
-	if err != nil {
-		t.Fatal(err)
+	plugs := make([]func(), cfg.Slots)
+	for i := range plugs {
+		r, err := q.Acquire(context.Background(), "plug")
+		if err != nil {
+			t.Fatal(err)
+		}
+		plugs[i] = r
 	}
 	total := 0
 	var wg sync.WaitGroup
@@ -66,12 +73,57 @@ func saturateOrder(t *testing.T, cfg Config, weights map[string]float64, backlog
 		}
 	}
 	waitFor(t, func() bool { return q.Snapshot().Waiting == total })
-	plugRelease()
-	wg.Wait()
-	if len(order) != total+1 || order[0] != "plug" {
-		t.Fatalf("grant order length %d (want %d), first %q", len(order), total+1, order[0])
+	for _, r := range plugs {
+		r()
 	}
-	return order[1:], q
+	wg.Wait()
+	if len(order) != total+len(plugs) {
+		t.Fatalf("grant order length %d, want %d", len(order), total+len(plugs))
+	}
+	for _, id := range order[:len(plugs)] {
+		if id != "plug" {
+			t.Fatalf("grant order starts %v, want %d plugs", order[:len(plugs)], len(plugs))
+		}
+	}
+	return order[len(plugs):], q
+}
+
+// TestGrantOrderGoldens pins the full saturated grant sequence of several
+// weight mixes as SHA-256 digests over the newline-joined tenant IDs. The
+// six-tenant case ranks more tenants than four; the Slots: 3 case drains
+// with three grants in flight and must match the one-slot order, since each
+// grant depends only on the grants before it. To re-pin after an intended
+// change to the grant rule, run
+//
+//	go test -run TestGrantOrderGoldens -v ./internal/serve/fairq 2>&1 | grep 'golden:'
+func TestGrantOrderGoldens(t *testing.T) {
+	cases := []struct {
+		name    string
+		slots   int
+		weights map[string]float64
+		backlog map[string]int
+		digest  string
+	}{
+		{"w124", 1, map[string]float64{"alice": 1, "bob": 2, "carol": 4},
+			map[string]int{"alice": 70, "bob": 140, "carol": 280}, "f2b55c1d92dedf542a5b75fbfc9ca9f700d24d66ba510781bf35987beb70c19e"},
+		{"w13", 1, map[string]float64{"a": 1, "b": 3},
+			map[string]int{"a": 40, "b": 40}, "6ccb627313b85f71543193598760dab41ad4ee06cfb22584b32d53d261813303"},
+		{"equal3", 1, map[string]float64{"a": 1, "b": 1, "c": 1},
+			map[string]int{"a": 60, "b": 60, "c": 60}, "baa2d5302120e3ffae6177a712bec25a8f8646df4cb8cd1f39a878ce310b0555"},
+		{"w1to6", 1, map[string]float64{"t1": 1, "t2": 2, "t3": 3, "t4": 4, "t5": 5, "t6": 6},
+			map[string]int{"t1": 10, "t2": 20, "t3": 30, "t4": 40, "t5": 50, "t6": 60}, "b334ff2b9a3ece00a4e05af06c0324aeb6037a806efae67ff0656c8dd4583627"},
+		{"w124-slots3", 3, map[string]float64{"alice": 1, "bob": 2, "carol": 4},
+			map[string]int{"alice": 70, "bob": 140, "carol": 280}, "f2b55c1d92dedf542a5b75fbfc9ca9f700d24d66ba510781bf35987beb70c19e"},
+	}
+	for _, c := range cases {
+		order, _ := saturateOrder(t, Config{Slots: c.slots, Capacity: 4096}, c.weights, c.backlog)
+		sum := sha256.Sum256([]byte(strings.Join(order, "\n")))
+		got := hex.EncodeToString(sum[:])
+		t.Logf("golden: {%q, ..., %q},", c.name, got)
+		if got != c.digest {
+			t.Errorf("%s: grant-order digest %s, want %s", c.name, got, c.digest)
+		}
+	}
 }
 
 // TestWeightedSharesUnderSaturation: tenants with weights 1/2/4 and deep
