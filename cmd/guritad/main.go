@@ -75,7 +75,6 @@ func run() error {
 		addrFile     = flag.String("addr-file", "", "write the bound listen address to this file once serving (for scripts using :0)")
 		slots        = flag.Int("slots", 0, "concurrently executing trials across all tenants (0 = -parallel)")
 		capacity     = flag.Int("capacity", 1024, "max outstanding trials across all campaigns; beyond it submissions get 429")
-		queues       = flag.Int("queues", 4, "fair-queue priority levels (mirrors the simulator's switch queues)")
 		retryAfter   = flag.Int("retry-after", 5, "Retry-After hint on 429 responses, seconds")
 		drainTimeout = flag.Duration("drain-timeout", time.Minute, "bound on the graceful drain after SIGTERM/SIGINT")
 		cacheTTL     = flag.Duration("cache-lease-ttl", 0, "TTL for remote-cache trial leases handed to /v1/cache/ workers (0 = 5s)")
@@ -98,8 +97,6 @@ func run() error {
 		return badUsage("-slots must be >= 0, got %d", *slots)
 	case *capacity < 1:
 		return badUsage("-capacity must be >= 1 trials, got %d", *capacity)
-	case *queues < 1:
-		return badUsage("-queues must be >= 1, got %d", *queues)
 	case *retryAfter < 1:
 		return badUsage("-retry-after must be >= 1 seconds, got %d", *retryAfter)
 	case *drainTimeout <= 0:
@@ -135,7 +132,6 @@ func run() error {
 		TrialTimeout: campaign.TrialTimeout,
 		Slots:        *slots,
 		Capacity:     *capacity,
-		Queues:       *queues,
 		RetryAfter:   *retryAfter,
 		Tenants:      tenants,
 		ObsTraceDir:  obsFl.TraceDir,

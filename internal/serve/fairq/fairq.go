@@ -1,20 +1,15 @@
-// Package fairq is the daemon's tenant-fair admission queue, and it is
-// dogfooding: instead of a bespoke weighted-fair dispatcher it drives
-// admission through the repo's own scheduling contract (sim.Scheduler, the
-// interface every policy in internal/sched implements). Tenants are modelled
-// as coflows, queued trials as that coflow's flows, and the configured policy
-// assigns priority queues exactly as it would inside the simulator; the
-// dispatcher then grants the waiting trial in the best (queue, arrival)
-// position. The paper's thesis — one scheduling contract serving
-// heterogeneous workloads — gets exercised on the daemon's own request queue.
+// Package fairq is the daemon's tenant-fair admission queue: a bounded
+// weighted-fair queue over execution slots.
 //
-// The adapter is deterministic by construction: it runs on a virtual clock
-// (the grant counter), never reads wall-clock time, and breaks every tie by
-// arrival sequence, so a given sequence of Acquire/Release calls produces one
-// possible grant order. Weighted fairness comes from service accounting: each
-// grant credits the tenant-coflow's BytesSent with 1/weight, so any policy
-// that favours the least-served coflow (see WeightedFair) yields grant shares
-// proportional to tenant weights under saturation.
+// Each grant goes to the oldest waiter of the tenant with the least
+// weight-normalized service (each grant credits its tenant 1/weight); exact
+// service ties go to the tenant registered first. Under saturation this
+// converges to grant shares proportional to tenant weights.
+//
+// The queue is deterministic by construction: it runs on a virtual clock (the
+// grant counter), never reads wall-clock time, and every decision depends
+// only on the grants before it, so a given backlog drains in one possible
+// grant order.
 package fairq
 
 import (
@@ -23,9 +18,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-
-	"gurita/internal/coflow"
-	"gurita/internal/sim"
 )
 
 // ErrFull is returned by Acquire when the waiting set is at capacity; the
@@ -43,18 +35,6 @@ type Config struct {
 	// Capacity bounds the waiting set across all tenants; an Acquire beyond
 	// it fails fast with ErrFull. Default 1024.
 	Capacity int
-	// Queues is the priority-queue count handed to the policy via sim.Env,
-	// mirroring the simulator's switch queues. Default 4.
-	Queues int
-	// Policy is the scheduling policy driving dispatch order. It sees
-	// tenants as coflows and waiting trials as flows; policies keyed on
-	// observable service (CoflowState.BytesSent) are the ones that produce
-	// tenant fairness. Default: NewWeightedFair(). The tenant set is open,
-	// so the queue builds its states by hand and passes no population in
-	// sim.Env: only policies that keep no per-job or per-coflow tables work
-	// here (WeightedFair, PFS, Aalo with live coordination). The others
-	// size such tables from Env.Jobs and Env.Coflows in Init.
-	Policy sim.Scheduler
 	// OnGrant, when non-nil, observes each grant (tenant ID, in grant order)
 	// synchronously under the queue lock. Instrumentation only: it must be
 	// fast and must not call back into the Queue.
@@ -66,43 +46,34 @@ type Config struct {
 type Queue struct {
 	mu      sync.Mutex
 	cfg     Config
-	policy  sim.Scheduler
 	tenants map[string]*tenant
-	waiting []*waiter
-	added   []*sim.FlowState // flows enqueued since the last policy call
-	dirty   []*sim.FlowState // reusable change-report buffer
+	order   []*tenant // registration order: the service tie-break
+	waiting int
 	granted int
-	seq     uint64 // arrival counter: global FIFO tie-break
 	grants  uint64 // virtual clock: one tick per grant
-	nextCID coflow.CoflowID
-	nextFID coflow.FlowID
 	closed  bool
 }
 
-// tenant is one tenant's standing state: its synthetic coflow (the policy's
-// view) plus service accounting.
+// tenant is one tenant's standing state and its FIFO of waiters.
 type tenant struct {
-	id     string
-	weight float64
-	cs     *sim.CoflowState
-	js     *sim.JobState
-
-	waiting int
+	id      string
+	weight  float64
+	service float64 // weight-normalized accumulated service
 	grants  uint64
+	queue   []*waiter
 }
 
-// waiter is one queued admission request.
+// waiter is one queued admission request. ok and err are set under the queue
+// lock, at most one of them, before ready closes; a waiter with neither is
+// still queued.
 type waiter struct {
 	t     *tenant
-	fs    *sim.FlowState
-	seq   uint64
 	ready chan struct{}
-	ok    bool // granted (set under the queue lock before ready closes)
+	ok    bool
 	err   error
 }
 
-// New builds a Queue. The policy's Init runs here, with a nil topology —
-// admission scheduling has no fabric, only queues.
+// New builds a Queue.
 func New(cfg Config) *Queue {
 	if cfg.Slots < 1 {
 		cfg.Slots = 1
@@ -110,21 +81,7 @@ func New(cfg Config) *Queue {
 	if cfg.Capacity < 1 {
 		cfg.Capacity = 1024
 	}
-	if cfg.Queues < 1 {
-		cfg.Queues = 4
-	}
-	if cfg.Policy == nil {
-		cfg.Policy = NewWeightedFair()
-	}
-	q := &Queue{cfg: cfg, policy: cfg.Policy, tenants: make(map[string]*tenant)}
-	q.policy.Init(sim.Env{Queues: cfg.Queues, Now: q.virtualNow})
-	return q
-}
-
-func (q *Queue) virtualNow() float64 {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return float64(q.grants)
+	return &Queue{cfg: cfg, tenants: make(map[string]*tenant)}
 }
 
 // SetTenant registers (or re-weights) a tenant. Weights are relative shares;
@@ -141,30 +98,21 @@ func (q *Queue) SetTenant(id string, weight float64) {
 	t.weight = weight
 }
 
-// tenantLocked finds or creates a tenant, wiring its synthetic job/coflow
-// into the policy's lifecycle callbacks (OnJobArrival at registration,
-// OnCoflowStart at first queued trial).
+// tenantLocked finds or registers a tenant.
 func (q *Queue) tenantLocked(id string) *tenant {
 	if t, ok := q.tenants[id]; ok {
 		return t
 	}
-	q.nextCID++
-	cf := &coflow.Coflow{ID: q.nextCID, Stage: 1}
-	job := &coflow.Job{ID: coflow.JobID(q.nextCID), Coflows: []*coflow.Coflow{cf}, NumStages: 1}
-	cf.Job = job
-	cs := &sim.CoflowState{Coflow: cf, Phase: sim.PhaseWaiting}
-	js := &sim.JobState{Job: job, Coflows: []*sim.CoflowState{cs}, RemainingCoflows: 1}
-	cs.Job = js
-	t := &tenant{id: id, weight: 1, cs: cs, js: js}
+	t := &tenant{id: id, weight: 1}
 	q.tenants[id] = t
-	q.policy.OnJobArrival(js)
+	q.order = append(q.order, t)
 	return t
 }
 
-// Acquire queues one trial admission for the tenant and blocks until the
-// policy grants it, the context ends, or the queue closes. On success the
-// returned release frees the slot (call it exactly once, when the trial
-// finishes). When the waiting set is full it fails immediately with ErrFull.
+// Acquire queues one trial admission for the tenant and blocks until it is
+// granted, the context ends, or the queue closes. On success the returned
+// release frees the slot (call it exactly once, when the trial finishes).
+// When the waiting set is full it fails immediately with ErrFull.
 //
 // Acquire is shaped to be used directly as a runner.Gate:
 //
@@ -177,27 +125,14 @@ func (q *Queue) Acquire(ctx context.Context, tenantID string) (release func(), e
 		q.mu.Unlock()
 		return nil, ErrClosed
 	}
-	if len(q.waiting) >= q.cfg.Capacity {
+	if q.waiting >= q.cfg.Capacity {
 		q.mu.Unlock()
 		return nil, fmt.Errorf("%w (capacity %d)", ErrFull, q.cfg.Capacity)
 	}
 	t := q.tenantLocked(tenantID)
-	q.nextFID++
-	fl := &coflow.Flow{ID: q.nextFID, Size: 1}
-	fs := &sim.FlowState{Flow: fl, Coflow: t.cs, Remaining: 1}
-	fs.MarkStarted(float64(q.grants))
-	t.cs.Flows = append(t.cs.Flows, fs)
-	t.cs.RemainingFlows++
-	if t.cs.Phase == sim.PhaseWaiting {
-		t.cs.Phase = sim.PhaseActive
-		t.cs.Started = float64(q.grants)
-		q.policy.OnCoflowStart(t.cs)
-	}
-	q.seq++
-	w := &waiter{t: t, fs: fs, seq: q.seq, ready: make(chan struct{})}
-	t.waiting++
-	q.waiting = append(q.waiting, w)
-	q.added = append(q.added, fs)
+	w := &waiter{t: t, ready: make(chan struct{})}
+	t.queue = append(t.queue, w)
+	q.waiting++
 	q.dispatchLocked()
 	q.mu.Unlock()
 
@@ -209,15 +144,16 @@ func (q *Queue) Acquire(ctx context.Context, tenantID string) (release func(), e
 		return q.releaseFunc(), nil
 	case <-ctx.Done():
 		q.mu.Lock()
-		if w.ok {
+		switch {
+		case w.ok:
 			// Lost the race: the grant landed while the context died. Give the
 			// slot back so it isn't leaked, then report the cancellation.
 			q.granted--
 			q.dispatchLocked()
-			q.mu.Unlock()
-			return nil, context.Cause(ctx)
+		case w.err == nil:
+			q.abandonLocked(w)
 		}
-		q.abandonLocked(w)
+		// Otherwise Close already settled the waiter.
 		q.mu.Unlock()
 		return nil, context.Cause(ctx)
 	}
@@ -236,82 +172,43 @@ func (q *Queue) releaseFunc() func() {
 	}
 }
 
-// abandonLocked removes a still-waiting waiter (context cancellation) from
-// every structure the policy might see.
+// abandonLocked removes a still-queued waiter (context cancellation).
 func (q *Queue) abandonLocked(w *waiter) {
-	for i, x := range q.waiting {
+	t := w.t
+	for i, x := range t.queue {
 		if x == w {
-			q.waiting = append(q.waiting[:i], q.waiting[i+1:]...)
+			t.queue = append(t.queue[:i], t.queue[i+1:]...)
 			break
 		}
 	}
-	for i, f := range q.added {
-		if f == w.fs {
-			q.added = append(q.added[:i], q.added[i+1:]...)
-			break
-		}
-	}
-	q.detachLocked(w)
-	w.t.waiting--
+	q.waiting--
 }
 
-// detachLocked retires a waiter's flow from its tenant coflow.
-func (q *Queue) detachLocked(w *waiter) {
-	w.fs.Done = true
-	cs := w.t.cs
-	for i, f := range cs.Flows {
-		if f == w.fs {
-			cs.Flows = append(cs.Flows[:i], cs.Flows[i+1:]...)
-			break
-		}
-	}
-	cs.RemainingFlows--
-}
-
-// dispatchLocked grants slots while any are free: it runs the policy over the
-// full waiting set per the sim.Scheduler contract (flows, added, dirty), then
-// grants the waiter with the best (queue, seq) and credits the tenant's
-// normalized service. Called with the lock held.
+// dispatchLocked grants slots while any are free: each grant goes to the
+// head of the queue of the waiting tenant with the least service, ties to
+// the earliest registered. Called with the lock held.
 func (q *Queue) dispatchLocked() {
-	for q.granted < q.cfg.Slots && len(q.waiting) > 0 && !q.closed {
-		flows := make([]*sim.FlowState, len(q.waiting))
-		for i, w := range q.waiting {
-			flows[i] = w.fs
-		}
-		q.dirty = q.policy.AssignQueues(float64(q.grants), flows, q.added, q.dirty[:0])
-		q.added = q.added[:0]
-
-		best := q.waiting[0]
-		for _, w := range q.waiting[1:] {
-			if w.fs.Queue() < best.fs.Queue() ||
-				(w.fs.Queue() == best.fs.Queue() && w.seq < best.seq) {
-				best = w
+	for q.granted < q.cfg.Slots && q.waiting > 0 && !q.closed {
+		var best *tenant
+		for _, t := range q.order {
+			if len(t.queue) > 0 && (best == nil || t.service < best.service) {
+				best = t
 			}
 		}
-		q.abandonStructures(best)
-		best.ok = true
+		w := best.queue[0]
+		best.queue[0] = nil
+		best.queue = best.queue[1:]
+		q.waiting--
+		w.ok = true
 		q.granted++
 		q.grants++
-		best.t.grants++
-		best.t.cs.BytesSent += 1 / best.t.weight
+		best.grants++
+		best.service += 1 / best.weight
 		if q.cfg.OnGrant != nil {
-			q.cfg.OnGrant(best.t.id)
+			q.cfg.OnGrant(best.id)
 		}
-		close(best.ready)
+		close(w.ready)
 	}
-}
-
-// abandonStructures removes a granted waiter from the waiting structures
-// (same bookkeeping as abandonment, minus the error).
-func (q *Queue) abandonStructures(w *waiter) {
-	for i, x := range q.waiting {
-		if x == w {
-			q.waiting = append(q.waiting[:i], q.waiting[i+1:]...)
-			break
-		}
-	}
-	q.detachLocked(w)
-	w.t.waiting--
 }
 
 // Close drains the queue: every waiter fails with ErrClosed and future
@@ -324,14 +221,14 @@ func (q *Queue) Close() {
 		return
 	}
 	q.closed = true
-	for _, w := range q.waiting {
-		w.err = ErrClosed
-		q.detachLocked(w)
-		w.t.waiting--
-		close(w.ready)
+	for _, t := range q.order {
+		for _, w := range t.queue {
+			w.err = ErrClosed
+			close(w.ready)
+		}
+		t.queue = nil
 	}
-	q.waiting = nil
-	q.added = nil
+	q.waiting = 0
 }
 
 // TenantStats is one tenant's admission accounting.
@@ -350,7 +247,6 @@ type Stats struct {
 	Capacity int           `json:"capacity"`
 	Slots    int           `json:"slots"`
 	Grants   uint64        `json:"grants"`
-	Policy   string        `json:"policy"`
 	Tenants  []TenantStats `json:"tenants"`
 }
 
@@ -359,24 +255,18 @@ func (q *Queue) Snapshot() Stats {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	s := Stats{
-		Waiting:  len(q.waiting),
+		Waiting:  q.waiting,
 		Granted:  q.granted,
 		Capacity: q.cfg.Capacity,
 		Slots:    q.cfg.Slots,
 		Grants:   q.grants,
-		Policy:   q.policy.Name(),
 	}
-	ids := make([]string, 0, len(q.tenants))
-	for id := range q.tenants {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		t := q.tenants[id]
+	for _, t := range q.order {
 		s.Tenants = append(s.Tenants, TenantStats{
-			ID: id, Weight: t.weight, Waiting: t.waiting,
-			Grants: t.grants, Service: t.cs.BytesSent,
+			ID: t.id, Weight: t.weight, Waiting: len(t.queue),
+			Grants: t.grants, Service: t.service,
 		})
 	}
+	sort.Slice(s.Tenants, func(a, b int) bool { return s.Tenants[a].ID < s.Tenants[b].ID })
 	return s
 }

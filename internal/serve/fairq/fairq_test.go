@@ -11,8 +11,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-
-	"gurita/internal/sched"
 )
 
 // waitFor spins until cond holds; queue state changes settle in microseconds.
@@ -288,45 +286,38 @@ func TestCloseFailsWaiters(t *testing.T) {
 	hold() // release against a closed queue must not panic
 }
 
-// TestPluggablePolicy: the adapter honours the sim.Scheduler contract with a
-// stock policy from internal/sched. PFS queues everything at priority 0, so
-// dispatch degenerates to global FIFO by arrival sequence.
-func TestPluggablePolicy(t *testing.T) {
-	var order []string
-	q := New(Config{Slots: 1, Capacity: 64, Policy: sched.NewPFS(),
-		OnGrant: func(id string) { order = append(order, id) }})
-	if got := q.Snapshot().Policy; got != "pfs" {
-		t.Fatalf("policy = %q", got)
-	}
-	hold, err := q.Acquire(context.Background(), "z") // occupy the slot
-	if err != nil {
-		t.Fatal(err)
-	}
-	ids := []string{"b", "a", "c", "a", "b"}
-	var wg sync.WaitGroup
-	for i, id := range ids {
-		i, id := i, id
-		wg.Add(1)
+// TestCloseCancelSettlesOnce: a waiter whose context ends while Close fails
+// it is settled exactly once, so no waiting count goes negative. Holding the
+// queue lock across cancel makes Close win the lock before the waiter's
+// cancellation path in nearly every round.
+func TestCloseCancelSettlesOnce(t *testing.T) {
+	for round := 0; round < 200; round++ {
+		q := New(Config{Slots: 1, Capacity: 16})
+		if _, err := q.Acquire(context.Background(), "hold"); err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		done := make(chan error, 1)
 		go func() {
-			defer wg.Done()
-			r, err := q.Acquire(context.Background(), id)
-			if err != nil {
-				t.Errorf("Acquire(%s): %v", id, err)
-				return
-			}
-			r()
+			_, err := q.Acquire(ctx, "a")
+			done <- err
 		}()
-		// Serialize enqueueing so arrival order is exactly ids.
-		waitFor(t, func() bool { return q.Snapshot().Waiting == i+1 })
-	}
-	hold()
-	wg.Wait()
-	if len(order) != 1+len(ids) {
-		t.Fatalf("grants = %d", len(order))
-	}
-	for i, id := range ids {
-		if order[i+1] != id {
-			t.Fatalf("FIFO violated: grant order %v, enqueue order %v", order[1:], ids)
+		waitFor(t, func() bool { return q.Snapshot().Waiting == 1 })
+		q.mu.Lock()
+		cancel()
+		q.mu.Unlock()
+		q.Close()
+		if err := <-done; !errors.Is(err, ErrClosed) && !errors.Is(err, context.Canceled) {
+			t.Fatalf("round %d: Acquire = %v, want ErrClosed or context.Canceled", round, err)
+		}
+		s := q.Snapshot()
+		if s.Waiting != 0 {
+			t.Fatalf("round %d: waiting = %d, want 0", round, s.Waiting)
+		}
+		for _, ts := range s.Tenants {
+			if ts.Waiting != 0 {
+				t.Fatalf("round %d: tenant %s waiting = %d, want 0", round, ts.ID, ts.Waiting)
+			}
 		}
 	}
 }

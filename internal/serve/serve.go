@@ -7,8 +7,7 @@
 // submission that would push the outstanding-trial count past the configured
 // capacity is rejected with 429 and a Retry-After hint instead of queueing
 // unboundedly. Queued trials from all campaigns are admitted to execution
-// through one tenant-fair queue (internal/serve/fairq — the repo's own
-// scheduling contract dogfooded onto the request path), so a tenant's share
+// through one tenant-fair queue (internal/serve/fairq), so a tenant's share
 // of the execution slots tracks its configured weight no matter how many
 // trials it submits. All campaigns share one content-addressed result cache
 // and one single-flight group (runner.Flight), which together form the
@@ -49,7 +48,6 @@ import (
 	"gurita/internal/runner"
 	"gurita/internal/serve/cachehttp"
 	"gurita/internal/serve/fairq"
-	"gurita/internal/sim"
 )
 
 // Config parameterizes a Server. The zero value of every field is usable;
@@ -72,11 +70,6 @@ type Config struct {
 	// across all campaigns; a submission that would exceed it is rejected
 	// with 429. <= 0 means 1024.
 	Capacity int
-	// Queues is the fair queue's priority-queue count (default 4).
-	Queues int
-	// Policy overrides the fair queue's scheduling policy (default: the
-	// weighted-fair policy, fairq.NewWeightedFair).
-	Policy sim.Scheduler
 	// Tenants seeds tenant weights (relative shares). Unknown tenants are
 	// admitted with weight 1; see fairq.Queue.SetTenant.
 	Tenants map[string]float64
@@ -118,11 +111,11 @@ type Config struct {
 // Campaign states, in lifecycle order. A campaign is created running and
 // ends in exactly one of the terminal states.
 const (
-	StateRunning = "running" // executing (or queued at the admission gate)
-	StateDone    = "done"    // every trial produced a result
+	StateRunning = "running"  // executing (or queued at the admission gate)
+	StateDone    = "done"     // every trial produced a result
 	StateDegrade = "degraded" // finished, but some trials failed (see failures)
-	StateDrained = "drained" // soft-stopped by drain; resubmit to resume
-	StateFailed  = "failed"  // aborted by an execution error
+	StateDrained = "drained"  // soft-stopped by drain; resubmit to resume
+	StateFailed  = "failed"   // aborted by an execution error
 )
 
 // Server is the daemon: create with New, mount Handler on an http.Server,
@@ -198,8 +191,6 @@ func New(cfg Config) (*Server, error) {
 		fair: fairq.New(fairq.Config{
 			Slots:    cfg.Slots,
 			Capacity: cfg.Capacity,
-			Queues:   cfg.Queues,
-			Policy:   cfg.Policy,
 			OnGrant:  cfg.OnGrant,
 		}),
 		flight:    &runner.Flight{},
@@ -209,9 +200,9 @@ func New(cfg Config) (*Server, error) {
 	}
 	//lint:ignore ctxflow the server IS the process root; every campaign and request context derives from this one and Drain cancels it
 	s.ctx, s.cancel = context.WithCancel(context.Background())
-	// Registration order assigns the fair queue's coflow IDs, which break
-	// exact-service ties — register sorted so a given tenant config always
-	// produces the same grant order.
+	// Registration order breaks the fair queue's exact-service ties —
+	// register sorted so a given tenant config always produces the same
+	// grant order.
 	ids := make([]string, 0, len(cfg.Tenants))
 	for id := range cfg.Tenants {
 		ids = append(ids, id)
