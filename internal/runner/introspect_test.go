@@ -10,6 +10,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"gurita/internal/cachestore"
 )
 
 func fetchDoc(t *testing.T, addr, path string) map[string]any {
@@ -250,7 +252,7 @@ func TestRunRecordsRetriesAndManifestIdentity(t *testing.T) {
 	if f.Schema != "manifest-test-v1" {
 		t.Fatalf("failure schema = %q", f.Schema)
 	}
-	wantHash, err := SpecHash(3)
+	wantHash, err := cachestore.SpecHash(3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -260,7 +260,7 @@ func TestLeasedPoisonInheritance(t *testing.T) {
 	if f.Index != badIdx || !strings.Contains(f.Err, "deterministic trial failure") {
 		t.Errorf("inherited failure = %+v", f)
 	}
-	wantHash, _ := SpecHash(specs[badIdx])
+	wantHash, _ := cachestore.SpecHash(specs[badIdx])
 	if f.SpecHash != wantHash {
 		t.Errorf("inherited failure spec hash = %s, want %s", f.SpecHash, wantHash)
 	}

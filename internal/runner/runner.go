@@ -23,8 +23,6 @@ package runner
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -36,35 +34,10 @@ import (
 	"gurita/internal/cachestore"
 )
 
-// Key returns the content-addressed cache key of a spec: the hex SHA-256 of
-// the schema version and the spec's canonical JSON encoding. Go's
-// encoding/json is deterministic for structs (declaration field order), so
-// equal specs always hash equally; any semantic change to spec layout or
-// trial execution must bump the schema string to invalidate old entries.
-func Key(schema string, spec any) (string, error) {
-	b, err := json.Marshal(spec)
-	if err != nil {
-		return "", fmt.Errorf("runner: marshaling spec for key: %w", err)
-	}
-	h := sha256.New()
-	h.Write([]byte(schema))
-	h.Write([]byte{'\n'})
-	h.Write(b)
-	return hex.EncodeToString(h.Sum(nil)), nil
-}
-
-// SpecHash returns the schema-independent content hash of a spec: the hex
-// SHA-256 of its canonical JSON alone. Unlike Key it survives cache schema
-// bumps, which is why the failure manifest records it — a failed trial can
-// be matched to its spec in a replay even after the schema string moved on.
-func SpecHash(spec any) (string, error) {
-	b, err := json.Marshal(spec)
-	if err != nil {
-		return "", fmt.Errorf("runner: marshaling spec for hash: %w", err)
-	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:]), nil
-}
+// Key returns the content-addressed cache key of a spec; it is
+// cachestore.Key, kept here for callers that address trials through the
+// runner.
+func Key(schema string, spec any) (string, error) { return cachestore.Key(schema, spec) }
 
 // ErrDrained is the error Run returns after a soft stop through
 // Options.Drain: no trial failed, but the grid was not finished — in-flight
@@ -273,7 +246,7 @@ func Run[S, R any](ctx context.Context, specs []S, exec func(ctx context.Context
 		schema = store.Schema()
 	}
 	for i, s := range specs {
-		h, err := SpecHash(s)
+		h, err := cachestore.SpecHash(s)
 		if err != nil {
 			return nil, stats, err
 		}
