@@ -104,7 +104,7 @@ func newMeanAccum[K comparable]() *meanAccum[K] {
 
 func (m *meanAccum[K]) add(k K, v float64) {
 	m.sum[k] += v
-	m.sumSq[k] += v * v
+	m.sumSq[k] += float64(v * v)
 	m.count[k]++
 }
 
@@ -123,7 +123,7 @@ func (m *meanAccum[K]) stddev(k K) float64 {
 		return 0
 	}
 	mean := m.sum[k] / n
-	variance := (m.sumSq[k] - n*mean*mean) / (n - 1)
+	variance := (m.sumSq[k] - float64(n*mean*mean)) / (n - 1)
 	if variance < 0 {
 		variance = 0 // float noise on identical samples
 	}

@@ -343,19 +343,19 @@ func (p Profile) Generate(t *topo.Topology) (*Schedule, error) {
 		l := topo.LinkID(r.Intn(t.NumLinks()))
 		s.Events = append(s.Events,
 			Event{Time: at, Kind: LinkDown, Link: l},
-			Event{Time: at + r.ExpFloat64()*p.MTTR, Kind: LinkUp, Link: l})
+			Event{Time: at + float64(r.ExpFloat64()*p.MTTR), Kind: LinkUp, Link: l})
 	})
 	poisson(saltSwitch, p.SwitchFailRate, func(r *rand.Rand, at float64) {
 		sw := r.Intn(t.NumSwitches())
 		s.Events = append(s.Events,
 			Event{Time: at, Kind: SwitchDown, Switch: sw},
-			Event{Time: at + r.ExpFloat64()*p.MTTR, Kind: SwitchUp, Switch: sw})
+			Event{Time: at + float64(r.ExpFloat64()*p.MTTR), Kind: SwitchUp, Switch: sw})
 	})
 	poisson(saltNIC, p.NICDegradeRate, func(r *rand.Rand, at float64) {
 		h := topo.ServerID(r.Intn(t.NumServers()))
 		s.Events = append(s.Events,
 			Event{Time: at, Kind: NICDegrade, Host: h, Factor: p.DegradeFactor},
-			Event{Time: at + r.ExpFloat64()*p.MTTR, Kind: NICRestore, Host: h})
+			Event{Time: at + float64(r.ExpFloat64()*p.MTTR), Kind: NICRestore, Host: h})
 	})
 	poisson(saltDrop, p.CtrlDropRate, func(r *rand.Rand, at float64) {
 		s.Events = append(s.Events, Event{Time: at, Kind: CtrlDropRounds, Count: 1})

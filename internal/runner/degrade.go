@@ -127,7 +127,7 @@ func retryJitter(specHash string, attempt int) float64 {
 	h.Write([]byte(specHash))
 	h.Write([]byte{byte(attempt), byte(attempt >> 8)})
 	// Top 53 bits → uniform in [0, 1), halved into [0.5, 1.0).
-	return 0.5 + float64(h.Sum64()>>11)/float64(1<<53)*0.5
+	return 0.5 + float64(float64(h.Sum64()>>11)/float64(1<<53)*0.5)
 }
 
 // attemptTrial runs a trial through the retry ladder: up to 1+Options.Retries

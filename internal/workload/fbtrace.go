@@ -212,14 +212,14 @@ func SynthesizeBenchmark(numCoflows, numRacks int, seed int64) []trace.CoflowSpe
 		}
 		perReducerMB := float64(total) / 1e6 / float64(r)
 		for k := 0; k < r; k++ {
-			mb := perReducerMB * (0.5 + rng.Float64())
+			mb := perReducerMB * (0.5 + float64(rng.Float64()))
 			spec.Reducers = append(spec.Reducers, trace.ReducerSpec{
 				Rack:   rng.Intn(numRacks),
 				SizeMB: math.Max(mb, 0.001),
 			})
 		}
 		specs = append(specs, spec)
-		nowMillis += rng.ExpFloat64() * 1000 // ~1 coflow/second
+		nowMillis += float64(rng.ExpFloat64() * 1000) // ~1 coflow/second
 	}
 	return specs
 }

@@ -150,7 +150,7 @@ func BalancedTree(depth, fanin int) Template {
 	// scaled so everything sums to 1.
 	total := 0.0
 	for l := 0; l < depth; l++ {
-		total += float64(levelCount[l]) * float64(int(1)<<(depth-1-l))
+		total += float64(float64(levelCount[l]) * float64(int(1)<<(depth-1-l)))
 	}
 	// Emit levels deepest-first; record index ranges per level.
 	start := make([]int, depth)

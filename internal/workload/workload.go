@@ -240,7 +240,7 @@ func (c *Config) sampleJobBytes(rng *rand.Rand) int64 {
 		hi = 5e12
 	}
 	u := rng.Float64()
-	return int64(math.Exp(math.Log(float64(lo)) + u*(math.Log(float64(hi))-math.Log(float64(lo)))))
+	return int64(math.Exp(math.Log(float64(lo)) + float64(u*(math.Log(float64(hi))-math.Log(float64(lo))))))
 }
 
 // buildFromTemplate instantiates a template as a concrete job: sizes from
@@ -330,14 +330,14 @@ func splitWithSkew(rng *rand.Rand, total int64, n int, skew float64) []int64 {
 		out[0] = total
 		return out
 	}
-	elephantFrac := 0.1 + 0.6*skew*rng.Float64()
+	elephantFrac := 0.1 + float64(0.6*skew*rng.Float64())
 	elephant := int64(float64(total) * elephantFrac)
 	rest := total - elephant
 	// Spread the rest with mild noise.
 	weights := make([]float64, n-1)
 	sum := 0.0
 	for i := range weights {
-		weights[i] = 0.5 + rng.Float64()
+		weights[i] = 0.5 + float64(rng.Float64())
 		sum += weights[i]
 	}
 	var used int64

@@ -23,9 +23,9 @@ func obsScenario(t *testing.T) gurita.Scenario {
 		t.Fatal(err)
 	}
 	jobs, err := gurita.GenerateWorkload(gurita.WorkloadConfig{
-		NumJobs: 10,
-		Seed:    11,
-		Servers: tp.NumServers(),
+		NumJobs:         10,
+		Seed:            11,
+		Servers:         tp.NumServers(),
 		CategoryWeights: [gurita.NumCategories]float64{1, 0, 0, 0, 0, 0, 0},
 	})
 	if err != nil {
