@@ -34,9 +34,8 @@ func saturateOrder(t *testing.T, cfg Config, weights map[string]float64, backlog
 	var order []string
 	cfg.OnGrant = func(id string) { order = append(order, id) } // under q.mu: serialized
 	q := New(cfg)
-	// Register in sorted order: tenant coflow IDs are assigned at
-	// registration and break exact-service ties, so registration order is
-	// part of the deterministic input.
+	// Register in sorted order: registration order breaks exact-service
+	// ties, so it is part of the deterministic input.
 	ids := make([]string, 0, len(weights))
 	for id := range weights {
 		ids = append(ids, id)
