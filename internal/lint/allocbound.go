@@ -37,7 +37,7 @@ var allocFreeContract = map[string][]string{
 		"Slab.Get", "Slab.Free",
 	},
 	"gurita/internal/netmod": {
-		"Allocator.waterfill", "Allocator.registerCounts", "Allocator.freeze",
+		"Allocator.waterfill", "Allocator.fillTier", "Allocator.fillSpill", "Allocator.freeze",
 	},
 	"gurita/internal/sim": {
 		"Simulator.advanceTo",

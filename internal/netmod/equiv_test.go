@@ -97,6 +97,7 @@ func (h *churnHarness) check(stepNo int) {
 		h.refl = append(h.refl, &c)
 	}
 	h.ref.Allocate(h.refl)
+	checkTierIndex(h.t, h.ref)
 
 	for i, f := range h.live {
 		if got, want := f.Rate, h.refl[i].Rate; got != want {

@@ -74,8 +74,6 @@ type FlowDemand struct {
 	// Rate is the allocator's output, in bytes/second.
 	Rate float64
 
-	frozen bool
-
 	// Delta-engine bookkeeping (valid while registered).
 	registered bool
 	slotOff    int32   // start of the flow's run in Allocator.slotArena
@@ -122,6 +120,9 @@ type Allocator struct {
 	// arena spans the flows registered at once, not every flow ever seen.
 	slotArena []int32
 	freeRuns  [][]int32
+	// hopPos parallels slotArena: for hop i of a registered fabric flow, the
+	// position of that crossing in its slot's crossing list (cross).
+	hopPos []int32
 
 	// Everything below that is per link is indexed by slot and sized to the
 	// peak number of slots in use.
@@ -134,11 +135,25 @@ type Allocator struct {
 	linkRef []int32 // per-slot registered-flow crossing count
 	byQueue [][]*FlowDemand
 	local   []*FlowDemand // registered host-local flows (empty paths)
+	// cross[s] lists every registered crossing of slot s as the crossing
+	// flow's position in its tier, grouped by tier in tier order: tier q's
+	// crossings are cross[s][lo:hi] with (lo, hi) = a.seg(s, q), read from
+	// segEnd, which holds queues segment ends per slot. Tier changes move
+	// crossings between segments, so a list only grows when the slot's
+	// crossing count passes its peak.
+	cross  [][]int32
+	segEnd []int32
+	// tierSlots[q] lists the slots tier q's flows cross; tierSlotPos[q][s]
+	// is slot s's position in it (valid while crossed).
+	tierSlots   [][]int32
+	tierSlotPos [][]int32
 
 	// tierRes[q][s] snapshots the residual capacity of slot s at the start
-	// of tier q's water-fill during the last solve. Restoring tierRes[q]
+	// of tier q's SPQ water-fill during the last solve. Restoring tierRes[q]
 	// reproduces exactly the link state a from-scratch solve would present
-	// to tier q, which is what makes the partial re-solve bit-exact.
+	// to tier q, which is what makes the partial re-solve bit-exact. No
+	// solve writes tierRes[0] — only acquireSlot and capacityChanged do — so
+	// it is also the per-slot capacity cache, the one snapshot WRR keeps.
 	tierRes [][]float64
 	// dirtyMin is the lowest tier touched by a delta since the last
 	// Reallocate; == queues when no delta is pending.
@@ -147,16 +162,26 @@ type Allocator struct {
 	// Reusable scratch (no per-Reallocate allocation).
 	wrrShares  []float64
 	wrrWeights []float64
-	pool       []float64
-	spill      []*FlowDemand
-	touched    []int32       // slots with >= 1 unfrozen crossing flow, compacted
+	pool       []float64     // WRR only
+	spill      []*FlowDemand // the spill pass's work array: every tier, in order
+	touched    []int32       // slots with >= 1 live crossing flow, compacted
 	touchedIdx []int32       // per-slot position in touched (valid for touched slots)
-	linkFlows  [][]int32     // per-slot unfrozen-flow (work index) lists for the fill
 	satBuf     []int32       // slots that saturated in the current round
-	work       []*FlowDemand // stable snapshot of the fill's unfrozen flows
-	workN      int           // high-water mark of work entries holding pointers
+	work       []*FlowDemand // the fill's flows, indexed by work index
 	live       []int32       // work indices still unfrozen, compacted between rounds
-	livePos    []int32       // work index -> position in live
+	livePos    []int32       // work index -> position in live; -1 once frozen
+	// The fill's scope: its saturation sweep walks the tiers [fillLo, fillHi)
+	// of a slot's crossing list, and a crossing of tier q at byQueue
+	// position i is work index workBase[q]+i.
+	fillLo, fillHi int
+	workBase       []int32
+	// A uniform fill (every flow starting at rate 0) keeps the common rate
+	// of its live flows in level; any other fill keeps each live flow's rate
+	// in rate, by work index. Either is written into the flow's Rate when it
+	// freezes or the fill ends.
+	uniform bool
+	level   float64
+	rate    []float64
 
 	// Cumulative work counters (see Stats). Plain increments on paths that
 	// already do real work, so they cost nothing measurable and — being
@@ -208,19 +233,27 @@ func NewAllocator(t *topo.Topology, queues int, mode Mode, opts ...Option) (*All
 		return nil, fmt.Errorf("netmod: unknown mode %v", mode)
 	}
 	a := &Allocator{
-		mode:       mode,
-		queues:     queues,
-		eta:        0.95,
-		capacity:   t.LinkCapacity,
-		slotOf:     make([]int32, t.NumLinks()),
-		byQueue:    make([][]*FlowDemand, queues),
-		tierRes:    make([][]float64, queues),
-		dirtyMin:   queues,
-		wrrShares:  make([]float64, queues),
-		wrrWeights: make([]float64, queues),
+		mode:        mode,
+		queues:      queues,
+		eta:         0.95,
+		capacity:    t.LinkCapacity,
+		slotOf:      make([]int32, t.NumLinks()),
+		byQueue:     make([][]*FlowDemand, queues),
+		tierSlots:   make([][]int32, queues),
+		tierSlotPos: make([][]int32, queues),
+		workBase:    make([]int32, queues),
+		tierRes:     make([][]float64, queues),
+		dirtyMin:    queues,
+		wrrShares:   make([]float64, queues),
+		wrrWeights:  make([]float64, queues),
 	}
 	for i := range a.slotOf {
 		a.slotOf[i] = -1
+	}
+	if mode == ModeWRR {
+		// WRR re-solves every tier from the capacities, so it keeps only the
+		// tier-0 snapshot, the capacity cache.
+		a.tierRes = a.tierRes[:1]
 	}
 	for _, o := range opts {
 		o(a)
@@ -282,7 +315,7 @@ func (a *Allocator) ClearLinkCapacity(l topo.LinkID) {
 	a.capacityChanged(l)
 }
 
-// capacityChanged refreshes link l's residual snapshot after its effective
+// capacityChanged refreshes link l's cached capacity after its effective
 // capacity moved. For a link with registered flows the snapshot entering
 // tier 0 is the capacity itself and every later tier's snapshot is stale, so
 // the next Reallocate re-solves from tier 0 — exactly the arithmetic a
@@ -328,11 +361,17 @@ func (a *Allocator) growSlots() {
 	a.count = append(a.count, 0)
 	a.usedIdx = append(a.usedIdx, 0)
 	a.linkRef = append(a.linkRef, 0)
-	a.pool = append(a.pool, 0)
 	a.touchedIdx = append(a.touchedIdx, 0)
-	a.linkFlows = append(a.linkFlows, nil)
+	a.cross = append(a.cross, nil)
+	if a.mode == ModeWRR {
+		a.pool = append(a.pool, 0)
+	}
 	for q := range a.tierRes {
 		a.tierRes[q] = append(a.tierRes[q], 0)
+	}
+	for q := range a.tierSlotPos {
+		a.segEnd = append(a.segEnd, 0)
+		a.tierSlotPos[q] = append(a.tierSlotPos[q], 0)
 	}
 }
 
@@ -364,9 +403,15 @@ func (a *Allocator) clampQueue(q int) int {
 // fabric flows mark their tier dirty. Registering an already-registered
 // flow is a no-op.
 func (a *Allocator) Register(f *FlowDemand) {
-	if f.registered {
-		return
+	if !f.registered && a.register(f) {
+		a.addCrossings(f)
 	}
+}
+
+// register enters flow f into the registries, all but the crossing lists,
+// and reports whether it is a fabric flow, whose crossings the caller must
+// index.
+func (a *Allocator) register(f *FlowDemand) bool {
 	f.registered = true
 	f.capSeen = f.MaxRate
 	if len(f.Path) == 0 {
@@ -378,11 +423,9 @@ func (a *Allocator) Register(f *FlowDemand) {
 		if f.Rate == 0 {
 			f.Rate = a.linkCap(0)
 		}
-		f.frozen = true
-		return
+		return false
 	}
 	f.Rate = 0
-	f.frozen = false
 	t := a.clampQueue(f.Queue)
 	f.tier = t
 	f.tierIdx = len(a.byQueue[t])
@@ -400,6 +443,7 @@ func (a *Allocator) Register(f *FlowDemand) {
 	if t < a.dirtyMin {
 		a.dirtyMin = t
 	}
+	return true
 }
 
 // Unregister removes a flow from the working set. Unregistering a flow that
@@ -413,6 +457,7 @@ func (a *Allocator) Unregister(f *FlowDemand) {
 		a.removeLocal(f)
 		return
 	}
+	a.removeCrossings(f)
 	a.removeFromTier(f)
 	for _, s := range a.slots(f) {
 		a.linkRef[s]--
@@ -447,10 +492,12 @@ func (a *Allocator) Update(f *FlowDemand) {
 	}
 	if t := a.clampQueue(f.Queue); t != f.tier {
 		old := f.tier
+		a.removeCrossings(f)
 		a.removeFromTier(f)
 		f.tier = t
 		f.tierIdx = len(a.byQueue[t])
 		a.byQueue[t] = append(a.byQueue[t], f)
+		a.addCrossings(f)
 		if old < a.dirtyMin {
 			a.dirtyMin = old
 		}
@@ -478,6 +525,7 @@ func (a *Allocator) takeRun(n int) int32 {
 	}
 	off := int32(len(a.slotArena))
 	a.slotArena = append(a.slotArena, make([]int32, n)...)
+	a.hopPos = append(a.hopPos, make([]int32, n)...)
 	return off
 }
 
@@ -494,7 +542,10 @@ func (a *Allocator) slots(f *FlowDemand) []int32 {
 	return a.slotArena[f.slotOff : int(f.slotOff)+len(f.Path)]
 }
 
-// removeFromTier swap-removes a fabric flow from its tier registry.
+// removeFromTier swap-removes a fabric flow from its tier registry. The
+// flow that takes its place keeps its crossings but changes position, so
+// its entries in the crossing lists are re-pointed; f's own entries must
+// already be gone (removeCrossings).
 func (a *Allocator) removeFromTier(f *FlowDemand) {
 	fl := a.byQueue[f.tier]
 	last := len(fl) - 1
@@ -503,6 +554,128 @@ func (a *Allocator) removeFromTier(f *FlowDemand) {
 	moved.tierIdx = f.tierIdx
 	fl[last] = nil
 	a.byQueue[f.tier] = fl[:last]
+	if moved != f {
+		for i, s := range a.slots(moved) {
+			a.cross[s][a.hopPos[int(moved.slotOff)+i]] = int32(moved.tierIdx)
+		}
+	}
+}
+
+// seg returns the bounds of tier q's crossings in cross[s].
+func (a *Allocator) seg(s int32, q int) (lo, hi int32) {
+	e := a.segEnd[int(s)*a.queues:]
+	if q > 0 {
+		lo = e[q-1]
+	}
+	return lo, e[q]
+}
+
+// addCrossings enters registered fabric flow f, already at its position in
+// byQueue[f.tier], into the crossing lists of the slots it crosses. The new
+// entry goes to the end of its tier's segment: the list grows by one, and
+// each later tier's segment shifts right by moving its first entry to its
+// end.
+func (a *Allocator) addCrossings(f *FlowDemand) {
+	q := f.tier
+	for i, s := range a.slots(f) {
+		e := a.segEnd[int(s)*a.queues : int(s+1)*a.queues]
+		list := append(a.cross[s], 0)
+		a.cross[s] = list
+		hole := int32(len(list) - 1)
+		for t := a.queues - 1; t > q; t-- {
+			if lo := e[t-1]; lo < hole {
+				a.moveCrossing(s, t, lo, hole)
+				hole = lo
+			}
+			e[t]++
+		}
+		list[hole] = int32(f.tierIdx)
+		a.hopPos[int(f.slotOff)+i] = hole
+		e[q]++
+		if lo, _ := a.seg(s, q); hole == lo { // the tier's first crossing of s
+			a.tierSlotPos[q][s] = int32(len(a.tierSlots[q]))
+			a.tierSlots[q] = append(a.tierSlots[q], s)
+		}
+	}
+}
+
+// indexCrossings builds the crossing lists and tier slot lists of every
+// registered fabric flow at once, for Allocate: walking the tiers in order
+// fills each list segment by segment with no moves, counting each tier's
+// crossings in its segEnd entry, and one prefix sum per slot turns the
+// counts into segment ends. The lists must be empty (Reset).
+func (a *Allocator) indexCrossings() {
+	for q, fl := range a.byQueue {
+		for _, f := range fl {
+			for i, s := range a.slots(f) {
+				list := a.cross[s]
+				a.hopPos[int(f.slotOff)+i] = int32(len(list))
+				a.cross[s] = append(list, int32(f.tierIdx))
+				n := &a.segEnd[int(s)*a.queues+q]
+				*n++
+				if *n == 1 {
+					a.tierSlotPos[q][s] = int32(len(a.tierSlots[q]))
+					a.tierSlots[q] = append(a.tierSlots[q], s)
+				}
+			}
+		}
+	}
+	for _, s := range a.used {
+		e := a.segEnd[int(s)*a.queues : int(s+1)*a.queues]
+		for q := 1; q < len(e); q++ {
+			e[q] += e[q-1]
+		}
+	}
+}
+
+// removeCrossings takes f's entries out of the crossing lists of the slots
+// it crosses: the last entry of f's tier segment fills the gap, each later
+// tier's segment shifts left by moving its last entry to its start, and the
+// list shrinks by one. A slot the tier no longer crosses leaves the tier's
+// slot list. f must still be at its position in byQueue[f.tier].
+func (a *Allocator) removeCrossings(f *FlowDemand) {
+	q := f.tier
+	for i, s := range a.slots(f) {
+		e := a.segEnd[int(s)*a.queues : int(s+1)*a.queues]
+		hole := e[q] - 1
+		if p := a.hopPos[int(f.slotOff)+i]; p != hole {
+			a.moveCrossing(s, q, hole, p)
+		}
+		e[q]--
+		for t := q + 1; t < a.queues; t++ {
+			if last := e[t] - 1; last > hole {
+				a.moveCrossing(s, t, last, hole)
+				hole = last
+			}
+			e[t]--
+		}
+		a.cross[s] = a.cross[s][:hole]
+		if lo, hi := a.seg(s, q); hi == lo {
+			ts := a.tierSlots[q]
+			k := a.tierSlotPos[q][s]
+			lastS := ts[len(ts)-1]
+			ts[k] = lastS
+			a.tierSlotPos[q][lastS] = k
+			a.tierSlots[q] = ts[:len(ts)-1]
+		}
+	}
+}
+
+// moveCrossing moves the tier-t crossing at position from of cross[s] to
+// position to, updating the hopPos of the flow it belongs to: the hop that
+// crosses s and sits at from, which tells two crossings of one slot by the
+// same flow apart.
+func (a *Allocator) moveCrossing(s int32, t int, from, to int32) {
+	list := a.cross[s]
+	g := a.byQueue[t][list[from]]
+	list[to] = list[from]
+	off := int(g.slotOff)
+	for h, gs := range a.slots(g) {
+		if gs == s && a.hopPos[off+h] == from {
+			a.hopPos[off+h] = to
+			return
+		}
+	}
 }
 
 // removeLocal swap-removes a host-local flow from the local registry.
@@ -534,7 +707,12 @@ func (a *Allocator) Reset() {
 		a.local[i] = nil
 	}
 	a.local = a.local[:0]
+	for q := range a.tierSlots {
+		a.tierSlots[q] = a.tierSlots[q][:0]
+	}
 	for _, s := range a.used {
+		a.cross[s] = a.cross[s][:0]
+		clear(a.segEnd[int(s)*a.queues : int(s+1)*a.queues])
 		a.slotOf[a.slotLink[s]] = -1
 		a.linkRef[s] = 0
 	}
@@ -542,6 +720,7 @@ func (a *Allocator) Reset() {
 	a.slotLink = a.slotLink[:0]
 	a.freeSlots = a.freeSlots[:0]
 	a.slotArena = a.slotArena[:0]
+	a.hopPos = a.hopPos[:0]
 	for n := range a.freeRuns {
 		a.freeRuns[n] = a.freeRuns[n][:0]
 	}
@@ -577,13 +756,7 @@ func (a *Allocator) Reallocate() {
 					snap[s] = a.residual[s]
 				}
 			}
-			fl := a.byQueue[q]
-			for _, f := range fl {
-				f.Rate = 0
-				f.frozen = false
-			}
-			a.registerCounts(fl)
-			a.waterfill(fl)
+			a.fillTier(q)
 		}
 	case ModeWRR:
 		a.reallocateWRR()
@@ -607,9 +780,9 @@ func (a *Allocator) Allocate(flows []*FlowDemand) {
 		// The batch contract predates registration: the input is the whole
 		// working set, whatever state the structs carry (e.g. snapshots of
 		// demands registered elsewhere).
-		f.registered = false
-		a.Register(f)
+		a.register(f)
 	}
+	a.indexCrossings()
 	a.Reallocate()
 	// An empty flow set registers nothing, leaving Reset's forced dirty
 	// marker in place; clear it so Dirty() stays accurate.
@@ -622,15 +795,8 @@ func (a *Allocator) Allocate(flows []*FlowDemand) {
 // unsatisfied flows, making the discipline work conserving like a real WRR
 // scheduler.
 func (a *Allocator) reallocateWRR() {
-	for _, s := range a.used {
-		a.residual[s] = a.linkCap(a.slotLink[s])
-	}
 	total := 0.0
 	for q := range a.byQueue {
-		for _, f := range a.byQueue[q] {
-			f.Rate = 0
-			f.frozen = false
-		}
 		a.wrrShares[q] = float64(len(a.byQueue[q]))
 		total += a.wrrShares[q]
 	}
@@ -641,28 +807,31 @@ func (a *Allocator) reallocateWRR() {
 	}
 	weights := starvationWeightsInto(a.wrrWeights, a.wrrShares, a.eta)
 
-	// Phase 1: per-tier guaranteed share. We shrink each touched link's
-	// residual to the tier's slice, run the water-fill, then return what the
-	// tier did not consume to the common pool.
+	// Phase 1: per-tier guaranteed share. Each link the tier crosses gets
+	// the tier's slice of its pool as residual; after the water-fill, what
+	// the tier did not consume returns to the pool as "unguaranteed"
+	// capacity, shrinking the pool by what was used. On a link the tier does
+	// not cross the residual stays the slice itself, and with finite
+	// capacities pool -= pool·w − pool·w leaves the pool exactly as it was
+	// (x − x = +0, and p − (+0) = p), so only the tier's own links are
+	// visited.
+	capacity := a.tierRes[0]
 	for _, s := range a.used {
-		a.pool[s] = a.residual[s]
-		a.residual[s] = 0
+		a.pool[s] = capacity[s]
 	}
 	for q := 0; q < a.queues; q++ {
 		if len(a.byQueue[q]) == 0 {
 			continue
 		}
-		for _, s := range a.used {
-			a.residual[s] = a.pool[s] * weights[q]
+		w := weights[q]
+		slots := a.tierSlots[q]
+		for _, s := range slots {
+			a.residual[s] = a.pool[s] * w
 		}
-		a.registerCounts(a.byQueue[q])
-		a.waterfill(a.byQueue[q])
-		for _, s := range a.used {
-			// Whatever the tier left of its slice returns to the pool as
-			// "unguaranteed" capacity, shrinking the pool by what was used.
+		a.fillTier(q)
+		for _, s := range slots {
 			// The conversion rounds the product, so no platform fuses it.
-			a.pool[s] -= float64(a.pool[s]*weights[q]) - a.residual[s]
-			a.residual[s] = 0
+			a.pool[s] -= float64(a.pool[s]*w) - a.residual[s]
 		}
 	}
 
@@ -670,84 +839,109 @@ func (a *Allocator) reallocateWRR() {
 	for _, s := range a.used {
 		a.residual[s] = a.pool[s]
 	}
-	spill := a.spill[:0]
-	for q := 0; q < a.queues; q++ {
-		for _, f := range a.byQueue[q] {
-			if f.MaxRate > 0 && fmath.AtLeast(f.Rate, f.MaxRate, epsRate) {
-				continue
-			}
-			f.frozen = false
-			spill = append(spill, f)
-		}
-	}
-	a.registerCounts(spill)
-	a.waterfill(spill)
-	for i := range spill {
-		spill[i] = nil
-	}
-	a.spill = spill[:0]
+	a.fillSpill()
 }
 
-// registerCounts builds the water-fill's working indexes in one pass over
-// fl: the per-slot unfrozen crossing counts, the compacted touched-slot
-// list (with per-slot positions so freezes can swap-remove), the per-slot
-// flow lists the freeze sweep walks when a link saturates, and the stable
-// work/live arrays the rounds iterate. Link lists hold int32 work indices,
-// not pointers, so resetting them never touches the GC.
+// fillTier water-fills tier q's flows, every one starting at rate 0, against
+// the current residuals. The touched list is the tier's slot list and the
+// crossing counts its segment lengths, and the work array is byQueue[q]
+// itself, so a flow's work index is its position in its tier.
 //
-//alloc:free one pass over fl reusing the allocator's pooled index arrays
-func (a *Allocator) registerCounts(fl []*FlowDemand) {
-	for _, s := range a.used {
-		a.count[s] = 0
-	}
-	work := a.work[:0]
-	live := a.live[:0]
+//alloc:free copies the tier's link index into the pooled fill arrays
+func (a *Allocator) fillTier(q int) {
 	touched := a.touched[:0]
-	for _, f := range fl {
-		if f.frozen {
-			continue
-		}
-		j := int32(len(work))
-		work = append(work, f)
-		live = append(live, j)
-		if int(j) < len(a.livePos) {
-			a.livePos[j] = j
-		} else {
-			a.livePos = append(a.livePos, j)
-		}
-		for _, s := range a.slots(f) {
-			if a.count[s] == 0 {
-				a.touchedIdx[s] = int32(len(touched))
-				touched = append(touched, s)
-				a.linkFlows[s] = a.linkFlows[s][:0]
-			}
-			a.count[s]++
-			a.linkFlows[s] = append(a.linkFlows[s], j)
-		}
+	for _, s := range a.tierSlots[q] {
+		lo, hi := a.seg(s, q)
+		a.count[s] = hi - lo
+		a.touchedIdx[s] = int32(len(touched))
+		touched = append(touched, s)
 	}
-	// Drop demand pointers only beyond this fill's length: consecutive
-	// fills are similarly sized, so the per-call clearing cost is the size
-	// delta, not the whole working set.
-	n := len(work)
-	if a.workN > n {
-		tail := work[n:a.workN]
-		for i := range tail {
-			tail[i] = nil
-		}
-	}
-	a.work, a.workN = work, n
-	a.live = live
 	a.touched = touched
+	fl := a.byQueue[q]
+	for len(a.livePos) < len(fl) {
+		a.livePos = append(a.livePos, 0)
+	}
+	live := a.live[:0]
+	for j := range fl {
+		live = append(live, int32(j))
+		a.livePos[j] = int32(j)
+	}
+	a.live = live
+	a.work = fl
+	a.workBase[q] = 0
+	a.fillLo, a.fillHi = q, q+1
+	a.waterfill(true)
 }
 
-// freeze retires work flow j from the current fill: its path counts drop,
-// links left with no unfrozen crossing flow leave the touched list, and the
-// flow leaves the live set. All removals are O(1) swap-removes.
+// fillSpill runs WRR's phase 2 over every registered fabric flow that phase
+// 1 left below its cap, each starting from its phase-1 rate, against the
+// pooled leftovers in residual. The work array lists every tier in order,
+// so tier q's flow at position i has work index workBase[q]+i; the flows
+// phase 1 capped sit in it frozen from the start. The crossing counts start
+// from linkRef minus the capped flows' crossings.
+//
+//alloc:free one pass over the registered flows into the pooled fill arrays
+func (a *Allocator) fillSpill() {
+	for _, s := range a.used {
+		a.count[s] = a.linkRef[s]
+	}
+	work := a.spill[:0]
+	live := a.live[:0]
+	for q, fl := range a.byQueue {
+		a.workBase[q] = int32(len(work))
+		for _, f := range fl {
+			j := int32(len(work))
+			work = append(work, f)
+			pos := int32(-1)
+			if f.MaxRate > 0 && fmath.AtLeast(f.Rate, f.MaxRate, epsRate) {
+				for _, s := range a.slots(f) {
+					a.count[s]--
+				}
+			} else {
+				pos = int32(len(live))
+				live = append(live, j)
+			}
+			if int(j) < len(a.livePos) {
+				a.livePos[j] = pos
+			} else {
+				a.livePos = append(a.livePos, pos)
+			}
+			if int(j) < len(a.rate) {
+				a.rate[j] = f.Rate
+			} else {
+				a.rate = append(a.rate, f.Rate)
+			}
+		}
+	}
+	touched := a.touched[:0]
+	for _, s := range a.used {
+		if a.count[s] > 0 {
+			a.touchedIdx[s] = int32(len(touched))
+			touched = append(touched, s)
+		}
+	}
+	a.work, a.live, a.touched = work, live, touched
+	a.fillLo, a.fillHi = 0, a.queues
+	a.waterfill(false)
+	for i := range work {
+		work[i] = nil
+	}
+	a.spill = work[:0]
+}
+
+// freeze retires work flow j from the current fill: its rate is written
+// into its Rate, its path counts drop, links left with no live crossing
+// flow leave the touched list, and the flow leaves the live set. All
+// removals are O(1) swap-removes.
 //
 //alloc:free swap-removes over the compacted work/live/touched arrays
 func (a *Allocator) freeze(j int32) {
 	f := a.work[j]
-	f.frozen = true
+	if a.uniform {
+		f.Rate = a.level
+	} else {
+		f.Rate = a.rate[j]
+	}
 	for _, s := range a.slots(f) {
 		a.count[s]--
 		if a.count[s] == 0 {
@@ -765,6 +959,7 @@ func (a *Allocator) freeze(j int32) {
 	a.live[p] = lastJ
 	a.livePos[lastJ] = p
 	a.live = a.live[:last]
+	a.livePos[j] = -1
 }
 
 // capSlack over-bounds the float error the capLB bookkeeping in waterfill
@@ -777,60 +972,85 @@ func capSlack(x, d float64) float64 {
 	return float64(1e-12 * (math.Abs(x) + math.Abs(d) + 1))
 }
 
-// waterfill runs progressive filling over the working set registerCounts
-// just built against the current residual capacities: all unfrozen flows'
-// rates rise together; a flow freezes when a link on its path saturates or
-// it reaches MaxRate. Residuals are decremented in place.
+// shareFilter lets a round's pass skip the division for a link that cannot
+// hold the smallest share: with hi = next·shareFilter for the running
+// minimum next, r ≥ hi·c proves r/c ≥ next in exact arithmetic — the factor
+// covers the two roundings in hi·c many times over — so r/c rounds to at
+// least next (rounding is monotone) and the strict test share < next would
+// fail anyway.
+const shareFilter = 1 + 0x1p-40
+
+// minShare is the smallest per-link fair share residual/count over the
+// touched links, or -1 when none is touched.
+func (a *Allocator) minShare() float64 {
+	m := -1.0
+	for _, s := range a.touched {
+		if share := a.residual[s] / float64(a.count[s]); m < 0 || share < m {
+			m = share
+		}
+	}
+	return m
+}
+
+// waterfill runs progressive filling over the working set fillTier or
+// fillSpill just built against the current residual capacities: all live
+// flows' rates rise together; a flow freezes when a link on its path
+// saturates or it reaches MaxRate. Residuals are decremented in place.
 //
-// Every structural shortcut below is a bit-exact rewrite of the naive full
-// scans — the iteration sets shrink, never the arithmetic:
+// Every shortcut below is a bit-exact rewrite of the naive algorithm — per
+// round, a scan of every link for the smallest share, a second scan to
+// subtract the rise, and one add per flow — so the iteration sets and the
+// number of operations shrink, never the arithmetic:
 //
-//   - The round's water level d is a pure min, so scanning only touched
-//     links (all of which have count > 0 by construction) and skipping the
-//     cap scan when capLB proves no cap can bound d yields the same value.
+//   - The round's rise d is a pure min, so scanning only touched links
+//     (all of which have count > 0 by construction) and skipping the cap
+//     scan when capLB proves no cap can bound d yields the same value.
 //   - Rate increments and count decrements commute, so freeze order within
 //     a round is free; a round's freeze set is determined by residuals
-//     fixed before the sweep, so walking only the flows of links that
-//     saturated this round (a.linkFlows) freezes exactly the flows the
-//     full per-flow path scan would.
+//     fixed before the sweep, so walking only the crossings of links that
+//     saturated this round freezes exactly the flows the full per-flow path
+//     scan would.
 //   - capLB conservatively lower-bounds the live flows' smallest cap
 //     headroom (MaxRate − Rate). It decides only whether the exact scans
 //     run, never what they compute, so its float slack (capSlack) cannot
 //     perturb rates.
+//   - One pass per round: the pass that subtracts d·count also takes the
+//     next round's minimum share over the links that did not saturate.
+//     Every flow crossing a saturated link freezes, so those links leave
+//     the touched set. A freeze only lowers a count, and a lower count only
+//     raises a share (residual > 0, and rounding is monotone), so the
+//     tracked minimum stays exact unless a freeze lowered the count of the
+//     very link that holds it; only then is the minimum rescanned. The pass
+//     divides only where a share can be the minimum (shareFilter).
+//   - Equal starts give equal rates: in a uniform fill every flow starts at
+//     0 and every live flow takes the same sequence of increments in the
+//     same order, so all live flows hold one rate, the water level. The
+//     fill adds d to the level once per round and writes it into a flow's
+//     Rate when the flow freezes or the fill ends; a cap's headroom is
+//     MaxRate − level, and since rounding is monotone the smallest headroom
+//     is the smallest MaxRate minus the level. A fill whose flows start
+//     apart (WRR's spill pass) adds d to each live flow's entry in rate.
+//   - x − x = 0: WRR's phase 1 returns a tier's unused slice to the pool
+//     only on the links the tier crosses, since on any other link the
+//     update subtracts a product from itself (see reallocateWRR).
 //
 //alloc:free the per-solve rounds run entirely over the pooled work arrays
-func (a *Allocator) waterfill(fl []*FlowDemand) {
+func (a *Allocator) waterfill(uniform bool) {
 	a.stTierSolves++
+	a.uniform, a.level = uniform, 0
 	// Each round saturates at least one link or caps at least one flow, so
 	// rounds are bounded; the guard protects against float corner cases.
-	maxRounds := len(a.used) + len(fl) + 2
+	maxRounds := len(a.used) + len(a.live) + 2
 	capLB := math.Inf(-1) // forces an exact cap scan in round one
+	linkMin := a.minShare()
 	for round := 0; len(a.live) > 0 && round < maxRounds; round++ {
 		a.stWFRounds++
-		// The water level can rise by the smallest per-link fair share...
-		linkMin := -1.0
-		for _, s := range a.touched {
-			share := a.residual[s] / float64(a.count[s])
-			if linkMin < 0 || share < linkMin {
-				linkMin = share
-			}
-		}
-		// ...or until the nearest per-flow cap, whichever is smaller. The
-		// scan only runs when a cap could actually bound this round.
+		// The water level can rise by the smallest per-link fair share or
+		// until the nearest per-flow cap, whichever is smaller. The cap scan
+		// only runs when a cap could actually bound this round.
 		d := linkMin
 		if linkMin < 0 || linkMin > capLB {
-			rm := math.Inf(1)
-			hasCap := false
-			for _, j := range a.live {
-				f := a.work[j]
-				if f.MaxRate <= 0 {
-					continue
-				}
-				hasCap = true
-				if room := f.MaxRate - f.Rate; room < rm {
-					rm = room
-				}
-			}
+			rm, hasCap := a.capRoom()
 			capLB = rm // +Inf when no live flow is capped, skipping all cap work
 			if hasCap && (d < 0 || rm < d) {
 				d = rm
@@ -842,29 +1062,52 @@ func (a *Allocator) waterfill(fl []*FlowDemand) {
 		// No live flow can reach its cap this round when the smallest
 		// headroom exceeds the rise by more than the freeze tolerance.
 		sweepCaps := !math.IsInf(capLB, 1) && capLB-d <= epsRate+capSlack(capLB, d)
-		a.satBuf = a.satBuf[:0]
+
+		// The one pass over the touched links: lower each residual, collect
+		// the links that saturate, and take the smallest share of the rest.
+		residual, count, sat := a.residual, a.count, a.satBuf[:0]
+		next, minSlot, minCount := -1.0, int32(-1), int32(0)
+		hi := math.Inf(1)
 		if d > 0 {
-			for _, j := range a.live {
-				a.work[j].Rate += d
+			if uniform {
+				a.level += d
+			} else {
+				for _, j := range a.live {
+					a.rate[j] += d
+				}
 			}
 			for _, s := range a.touched {
-				a.residual[s] -= float64(d * float64(a.count[s]))
-				if a.residual[s] < 0 {
-					a.residual[s] = 0
+				c := count[s]
+				r := residual[s] - float64(d*float64(c))
+				if r < 0 {
+					r = 0
 				}
-				if a.residual[s] <= epsRate {
-					a.satBuf = append(a.satBuf, s)
+				residual[s] = r
+				if r <= epsRate {
+					sat = append(sat, s)
+					continue
+				}
+				if r < float64(hi*float64(c)) {
+					if share := r / float64(c); next < 0 || share < next {
+						next, minSlot, minCount = share, s, c
+						hi = float64(next * shareFilter)
+					}
 				}
 			}
 		} else {
-			// d == 0: nothing moved, but links may sit at (or below) the
-			// saturation tolerance already — their flows must still freeze.
 			for _, s := range a.touched {
-				if a.residual[s] <= epsRate {
-					a.satBuf = append(a.satBuf, s)
+				r := residual[s]
+				if r <= epsRate {
+					sat = append(sat, s)
+					continue
+				}
+				c := count[s]
+				if share := r / float64(c); next < 0 || share < next {
+					next, minSlot, minCount = share, s, c
 				}
 			}
 		}
+		a.satBuf = sat
 		if !math.IsInf(capLB, 1) {
 			capLB -= d + capSlack(capLB, d)
 		}
@@ -872,8 +1115,11 @@ func (a *Allocator) waterfill(fl []*FlowDemand) {
 		if sweepCaps {
 			for i := 0; i < len(a.live); i++ {
 				j := a.live[i]
-				f := a.work[j]
-				if f.MaxRate > 0 && fmath.AtLeast(f.Rate, f.MaxRate, epsRate) {
+				rate := a.level
+				if !uniform {
+					rate = a.rate[j]
+				}
+				if m := a.work[j].MaxRate; m > 0 && fmath.AtLeast(rate, m, epsRate) {
 					a.freeze(j)
 					i--
 				}
@@ -881,11 +1127,63 @@ func (a *Allocator) waterfill(fl []*FlowDemand) {
 		}
 		// ...then every flow crossing a link that saturated this round.
 		for _, s := range a.satBuf {
-			for _, j := range a.linkFlows[s] {
-				if !a.work[j].frozen {
-					a.freeze(j)
+			list := a.cross[s]
+			for q := a.fillLo; q < a.fillHi; q++ {
+				base := a.workBase[q]
+				lo, hi := a.seg(s, q)
+				for _, i := range list[lo:hi] {
+					if j := base + i; a.livePos[j] >= 0 {
+						a.freeze(j)
+					}
 				}
 			}
 		}
+		if minSlot >= 0 && a.count[minSlot] != minCount {
+			linkMin = a.minShare()
+		} else {
+			linkMin = next
+		}
 	}
+	for _, j := range a.live {
+		if uniform {
+			a.work[j].Rate = a.level
+		} else {
+			a.work[j].Rate = a.rate[j]
+		}
+	}
+}
+
+// capRoom returns the smallest cap headroom MaxRate − Rate over the live
+// flows and whether any of them is capped; the headroom is +Inf when none
+// is.
+func (a *Allocator) capRoom() (rm float64, hasCap bool) {
+	rm = math.Inf(1)
+	if a.uniform {
+		m := math.Inf(1)
+		for _, j := range a.live {
+			f := a.work[j]
+			if f.MaxRate <= 0 {
+				continue
+			}
+			hasCap = true
+			if f.MaxRate < m {
+				m = f.MaxRate
+			}
+		}
+		if hasCap {
+			rm = m - a.level
+		}
+		return rm, hasCap
+	}
+	for _, j := range a.live {
+		f := a.work[j]
+		if f.MaxRate <= 0 {
+			continue
+		}
+		hasCap = true
+		if room := f.MaxRate - a.rate[j]; room < rm {
+			rm = room
+		}
+	}
+	return rm, hasCap
 }

@@ -440,6 +440,43 @@ func BenchmarkReallocateDeltaWRR(b *testing.B) { benchReallocateDelta(b, ModeWRR
 // over a fabric far larger than the cache.
 func BenchmarkReallocateDeltaWRRK48(b *testing.B) { benchReallocateDelta(b, ModeWRR, 48, 800) }
 
+// BenchmarkReallocateDeltaCappedWRRK8 has the shape of the trace-k8
+// workload's allocator load: about 2,000 standing flows on the 8-pod
+// fabric, every one capped at the 1.25e9 link rate as the simulator's NIC
+// cap does, under arrival and departure churn. Each op retires the oldest
+// flow, admits the next one of a 2,500-demand ring and re-solves WRR.
+func BenchmarkReallocateDeltaCappedWRRK8(b *testing.B) {
+	ft, _ := topo.NewFatTree(8, 1.25e9)
+	a, _ := NewAllocator(ft, 4, ModeWRR)
+	rng := rand.New(rand.NewSource(5))
+	const standing = 2000
+	ring := make([]*FlowDemand, standing+500)
+	for i := range ring {
+		src := topo.ServerID(rng.Intn(ft.NumServers()))
+		dst := topo.ServerID(rng.Intn(ft.NumServers()))
+		ring[i] = &FlowDemand{Path: ft.Path(src, dst, rng.Uint64()), Queue: rng.Intn(4), MaxRate: 1.25e9}
+	}
+	for _, f := range ring[:standing] {
+		a.Register(f)
+	}
+	churn := func(i int) {
+		a.Unregister(ring[i%len(ring)])
+		a.Register(ring[(i+standing)%len(ring)])
+	}
+	// Two laps of the ring size the slot arena and the tier indexes, and one
+	// solve sizes the fill arrays; keep that growth out of the timed loop.
+	for i := 0; i < 2*len(ring); i++ {
+		churn(i)
+	}
+	a.Reallocate()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		churn(i)
+		a.Reallocate()
+	}
+}
+
 func benchReallocateDelta(b *testing.B, mode Mode, k, flows int) {
 	ft, _ := topo.NewFatTree(k, 1.25e9)
 	a, _ := NewAllocator(ft, 4, mode)
