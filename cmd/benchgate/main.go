@@ -16,6 +16,9 @@
 //     Increases on nonzero-alloc paths are reported as warnings only —
 //     they are load- and version-sensitive, and the ns/op budget already
 //     bounds their cost.
+//   - A baseline ns_per_op of 0 records no measurement (a row whose ns/op
+//     has not been captured on the baseline machine): its ns/op is
+//     reported but not gated, while its allocs/op pin still holds.
 //   - Benchmarks in the input but absent from the baseline are listed so
 //     new benchmarks get committed; they never fail the gate.
 //
@@ -190,6 +193,8 @@ func gate(bl *baseline, ms []measurement, maxRegress, minNs float64) []string {
 			continue
 		}
 		switch {
+		case base.NsPerOp == 0:
+			fmt.Printf("ok\t%s: %.4g ns/op (no baseline ns/op captured; not gated)\n", m.name, m.ns)
 		case base.NsPerOp < minNs:
 			fmt.Printf("ok\t%s: %.4g ns/op (baseline %.4g below %.4g ns gating floor)\n",
 				m.name, m.ns, base.NsPerOp, minNs)

@@ -603,7 +603,10 @@ func (a *Allocator) addCrossings(f *FlowDemand) {
 // registered fabric flow at once, for Allocate: walking the tiers in order
 // fills each list segment by segment with no moves, counting each tier's
 // crossings in its segEnd entry, and one prefix sum per slot turns the
-// counts into segment ends. The lists must be empty (Reset).
+// counts into segment ends. The lists must be empty (Reset). Calling
+// addCrossings per flow in input order builds an equivalent index, but each
+// crossing of an earlier tier then shifts every later tier's segment, which
+// made BenchmarkAllocateSPQ about 1.7x slower.
 func (a *Allocator) indexCrossings() {
 	for q, fl := range a.byQueue {
 		for _, f := range fl {
