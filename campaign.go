@@ -331,13 +331,13 @@ type MultiProcessOptions struct {
 	// no path separators; empty means DefaultWorkerID().
 	Owner string
 	// LeaseTTL is how long an unrenewed lease stays valid before peers may
-	// reclaim it (0 = lease.DefaultTTL). It bounds how long a SIGKILLed
-	// worker's trials stay stuck.
+	// reclaim it (0 = 5s). It bounds how long a SIGKILLed worker's trials
+	// stay stuck.
 	LeaseTTL time.Duration
 	// Heartbeat is the lease renewal interval (0 = LeaseTTL/3).
 	Heartbeat time.Duration
 	// MaxAttempts bounds the claim attempts per trial across all workers
-	// before the trial is quarantined as poisoned (0 = lease.DefaultMaxAttempts).
+	// before the trial is quarantined as poisoned (0 = 5).
 	MaxAttempts int
 	// Registry receives the worker's operational counters (lease.*,
 	// runner.cache.*, runner.trials.*) and is snapshotted into the manifest

@@ -287,9 +287,13 @@ type LeaseStore interface {
 	// PoisonKey quarantines the claimed trial so every peer's next Claim
 	// returns LeasePoisoned, then releases the lease.
 	PoisonKey(ctx context.Context, key string, specHash string, attempts int, cause error) error
-	// Sweep removes stale leases among the given keys: leftovers of workers
-	// that died after publishing but before releasing. Returns how many were
-	// removed.
+	// Sweep removes the leases among keys that no live holder needs:
+	// leftovers of workers that died before releasing. It removes a lease
+	// only when a Claim would reclaim it — stale by the same liveness
+	// judgment Claim makes — or when the lease's result is already published
+	// and the lease has not been renewed for a TTL, so it guards nothing. A
+	// live lease whose result is unpublished is never removed. Returns how
+	// many were removed.
 	Sweep(ctx context.Context, keys []string) int
 	// LeaseStats snapshots the lifetime counters.
 	LeaseStats() LeaseStats

@@ -48,9 +48,15 @@ type Harness struct {
 	// for httpstore. nil skips the corruption
 	// subtest (no backend should need to).
 	Corrupt func(t *testing.T, key string)
-	// TTL is the lease TTL the backing store is configured with. The suite
-	// sleeps multiples of it; keep it a few hundred milliseconds.
+	// TTL is the lease TTL the backing store is configured with. Without
+	// Advance the suite sleeps multiples of it; keep it a few hundred
+	// milliseconds.
 	TTL time.Duration
+	// Advance, when non-nil, moves the clock every handle judges lease
+	// staleness by, and the suite advances it instead of sleeping. Backends
+	// whose expiry runs on a clock the test cannot reach (the daemon's)
+	// leave it nil.
+	Advance func(d time.Duration)
 	// MaxAttempts is the configured claim-attempt budget. The poison-budget
 	// subtest needs it to be 2.
 	MaxAttempts int
@@ -79,9 +85,19 @@ func specFor(t *testing.T, s cachestore.Store, i int) (json.RawMessage, string) 
 	return spec, key
 }
 
-// expire sleeps long enough that an unrenewed lease claimed just before the
-// call is reclaimable by a peer that has already observed it.
-func (h *Harness) expire() { time.Sleep(h.TTL + h.TTL/2) }
+// wait lets d of lease time pass: advanced when the harness can, slept
+// otherwise.
+func (h *Harness) wait(d time.Duration) {
+	if h.Advance != nil {
+		h.Advance(d)
+		return
+	}
+	time.Sleep(d)
+}
+
+// expire lets enough lease time pass that an unrenewed lease claimed just
+// before the call is reclaimable by a peer that has already observed it.
+func (h *Harness) expire() { h.wait(h.TTL + h.TTL/2) }
 
 // Run exercises the backend contract. factory is invoked once per subtest,
 // so every subtest starts from an empty backing store.
@@ -263,27 +279,18 @@ func Run(t *testing.T, factory func(t *testing.T) *Harness) {
 		if la, err := a.Claim(ctx, key); err != nil || la.State != cachestore.LeaseAcquired {
 			t.Fatalf("alice claim = (%+v, %v), want acquired", la, err)
 		}
-		// Renew on a cadence well inside the TTL for three TTLs of wall
-		// clock; bob must never win the key.
-		deadline := time.After(3 * h.TTL)
-		tick := time.NewTicker(h.TTL / 5)
-		defer tick.Stop()
-	alive:
-		for {
-			select {
-			case <-deadline:
-				break alive
-			case <-tick.C:
-				if err := a.Renew(ctx, key); err != nil {
-					t.Fatalf("renewal of a held lease failed: %v", err)
-				}
-				lb, err := b.Claim(ctx, key)
-				if err != nil {
-					t.Fatalf("bob claim: %v", err)
-				}
-				if lb.State != cachestore.LeaseBusy {
-					t.Fatalf("bob won a renewed lease: %+v", lb)
-				}
+		// Renew every TTL/5 for three TTLs; bob must never win the key.
+		for i := 0; i < 15; i++ {
+			h.wait(h.TTL / 5)
+			if err := a.Renew(ctx, key); err != nil {
+				t.Fatalf("renewal of a held lease failed: %v", err)
+			}
+			lb, err := b.Claim(ctx, key)
+			if err != nil {
+				t.Fatalf("bob claim: %v", err)
+			}
+			if lb.State != cachestore.LeaseBusy {
+				t.Fatalf("bob won a renewed lease: %+v", lb)
 			}
 		}
 		a.Release(ctx, key)
@@ -416,6 +423,12 @@ func Run(t *testing.T, factory func(t *testing.T) *Harness) {
 		}
 		if err := b.Renew(ctx, key2); err != nil {
 			t.Fatalf("bob's renewal after a live sweep: %v", err)
+		}
+		// The renewed lease is live too. This sweep is also the sighting of
+		// bob's new (owner, seq) pair that an observer-clock backend needs
+		// before it can judge that pair stale.
+		if n := a.Sweep(ctx, []string{key1, key2}); n != 0 {
+			t.Fatalf("sweep after a renewal removed %d, want 0", n)
 		}
 		h.expire()
 		// Both went silent past the TTL: the sweep reaps them.

@@ -1,6 +1,5 @@
 // Package fsstore is the shared-directory cachestore backend: the original
-// on-disk layout, refactored out of internal/runner and internal/lease and
-// byte-compatible with pre-existing cache dirs. One JSON envelope per trial,
+// on-disk layout, byte-compatible with pre-existing cache dirs. One JSON envelope per trial,
 // fanned out over 256 two-hex-digit shards; lease and poison files under
 // leases/; quarantined corruption evidence under quarantine/; per-worker
 // manifest shards under manifests/. Every worker process that mounts the same

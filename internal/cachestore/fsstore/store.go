@@ -11,10 +11,10 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"gurita/internal/cachestore"
-	"gurita/internal/lease"
 )
 
 // Config parameterizes a Store.
@@ -23,33 +23,55 @@ type Config struct {
 	Dir string
 	// Schema versions entries, leases, and poison markers.
 	Schema string
-	// Owner is this process's lease identity (host-pid works). Leave it
-	// empty for a single-process store: no lease manager is opened, no
-	// leases/ subdirectory is created, and lease calls return an error.
+	// Owner is this process's lease identity (host-pid works); it must be
+	// unique across live workers sharing Dir and filename-safe. Leave it
+	// empty for a single-process store: no lease side is opened, no leases/
+	// subdirectory is created, and lease calls return an error.
 	Owner string
-	// TTL / Heartbeat / MaxAttempts tune the lease protocol; zero values take
-	// the lease package defaults.
-	TTL         time.Duration
-	Heartbeat   time.Duration
+	// TTL is the staleness threshold: a lease whose (owner, seq) pair has
+	// been observed unchanged for longer than TTL may be reclaimed by any
+	// peer. Zero means 5s.
+	TTL time.Duration
+	// Heartbeat is the renewal period; it must be well under TTL or a busy
+	// worker looks dead. Zero means TTL/3.
+	Heartbeat time.Duration
+	// MaxAttempts bounds how many times a trial may be claimed across all
+	// workers before it is poisoned (quarantined). Zero means 5; a negative
+	// value disables the budget.
 	MaxAttempts int
 	// Counters, when non-nil, receives the store's operational counters.
 	Counters cachestore.Counters
 }
 
-// Store adapts the shared-directory layout (Cache + lease.Manager + the
-// manifests/ subtree) to the cachestore interfaces. One Store is one
-// process's handle on one cache root; it is safe for concurrent use.
+// Store is one process's handle on one cache root: the on-disk Cache, the
+// manifests/ subtree, and — when opened with an Owner — the cross-process
+// lease protocol over leases/ (see lease.go). It is safe for concurrent use.
 //
-// The lease side keeps one *lease.Claim handle per acquired key: campaign
-// grids deduplicate keys before execution and the lease protocol itself
-// admits one holder per key, so a single handle per key per process is an
-// invariant, not a limitation.
+// The lease side keeps one entry per acquired key: campaign grids
+// deduplicate keys before execution and the lease protocol itself admits one
+// holder per key, so one acquisition per key per process is an invariant,
+// not a limitation.
 type Store struct {
 	cache *Cache
-	mgr   *lease.Manager
 
-	mu     sync.Mutex
-	claims map[string]*lease.Claim
+	// The lease side; leaseDir is empty for a store opened without Owner.
+	leaseDir    string
+	owner       string
+	ttl         time.Duration
+	heartbeat   time.Duration
+	maxAttempts int
+	// clock replaces the wall clock in tests; nil means time.Now.
+	clock func() time.Time
+
+	mu   sync.Mutex
+	held map[string]bool        // acquired keys → a renewal found the lease taken over
+	seen map[string]observation // (owner, seq) sightings, the basis of staleness
+
+	acquired  atomic.Int64
+	reclaimed atomic.Int64
+	lost      atomic.Int64
+	released  atomic.Int64
+	poisoned  atomic.Int64
 }
 
 var (
@@ -70,22 +92,29 @@ func OpenStore(cfg Config) (*Store, error) {
 		return nil, err
 	}
 	c.Counters = cfg.Counters
-	s := &Store{cache: c, claims: make(map[string]*lease.Claim)}
+	s := &Store{cache: c}
 	if cfg.Owner == "" {
 		return s, nil
 	}
-	s.mgr, err = lease.Open(lease.Config{
-		Dir:         filepath.Join(cfg.Dir, cachestore.LeaseSubdir),
-		Owner:       cfg.Owner,
-		Schema:      cfg.Schema,
-		TTL:         cfg.TTL,
-		Heartbeat:   cfg.Heartbeat,
-		MaxAttempts: cfg.MaxAttempts,
-		Counters:    cfg.Counters,
-	})
-	if err != nil {
-		return nil, err
+	if strings.ContainsAny(cfg.Owner, "/\x00") {
+		return nil, fmt.Errorf("fsstore: owner %q must be filename-safe", cfg.Owner)
 	}
+	s.leaseDir = filepath.Join(cfg.Dir, cachestore.LeaseSubdir)
+	if err := os.MkdirAll(s.leaseDir, 0o755); err != nil {
+		return nil, fmt.Errorf("fsstore: creating lease dir: %w", err)
+	}
+	s.owner, s.ttl, s.heartbeat, s.maxAttempts = cfg.Owner, cfg.TTL, cfg.Heartbeat, cfg.MaxAttempts
+	if s.ttl <= 0 {
+		s.ttl = defaultTTL
+	}
+	if s.heartbeat <= 0 {
+		s.heartbeat = s.ttl / 3
+	}
+	if s.maxAttempts == 0 {
+		s.maxAttempts = defaultMaxAttempts
+	}
+	s.held = make(map[string]bool)
+	s.seen = make(map[string]observation)
 	return s, nil
 }
 
@@ -117,133 +146,13 @@ func (s *Store) Quarantine(_ context.Context, key string) error {
 func (s *Store) Len(_ context.Context) int { return s.cache.Len() }
 
 // Owner returns the lease identity ("" without a lease side).
-func (s *Store) Owner() string {
-	if s.mgr == nil {
-		return ""
-	}
-	return s.mgr.Owner()
-}
+func (s *Store) Owner() string { return s.owner }
 
 // TTL returns the lease staleness threshold (0 without a lease side).
-func (s *Store) TTL() time.Duration {
-	if s.mgr == nil {
-		return 0
-	}
-	return s.mgr.TTL()
-}
+func (s *Store) TTL() time.Duration { return s.ttl }
 
 // HeartbeatEvery returns the lease renewal period (0 without a lease side).
-func (s *Store) HeartbeatEvery() time.Duration {
-	if s.mgr == nil {
-		return 0
-	}
-	return s.mgr.Heartbeat()
-}
-
-// Claim attempts to take the lease for key; see lease.Manager.Claim.
-func (s *Store) Claim(_ context.Context, key string) (cachestore.Lease, error) {
-	if s.mgr == nil {
-		return cachestore.Lease{}, errNoOwner
-	}
-	c, err := s.mgr.Claim(key)
-	if err != nil {
-		return cachestore.Lease{}, err
-	}
-	switch c.State {
-	case lease.StateAcquired:
-		s.mu.Lock()
-		s.claims[key] = c
-		s.mu.Unlock()
-		return cachestore.Lease{State: cachestore.LeaseAcquired, Attempt: c.Attempt, Reclaimed: c.Reclaimed}, nil
-	case lease.StatePoisoned:
-		return cachestore.Lease{State: cachestore.LeasePoisoned, Poison: convertPoison(c.Poison)}, nil
-	default:
-		return cachestore.Lease{State: cachestore.LeaseBusy, Holder: c.Holder, Remaining: c.Remaining}, nil
-	}
-}
-
-// claim returns (without removing) the held handle for key.
-func (s *Store) claim(key string) *lease.Claim {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.claims[key]
-}
-
-// takeClaim removes and returns the held handle for key.
-func (s *Store) takeClaim(key string) *lease.Claim {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	c := s.claims[key]
-	delete(s.claims, key)
-	return c
-}
-
-// Renew extends the acquired lease on key by one logical heartbeat.
-func (s *Store) Renew(_ context.Context, key string) error {
-	c := s.claim(key)
-	if c == nil {
-		return cachestore.ErrLeaseLost
-	}
-	if err := c.Renew(); err != nil {
-		if errors.Is(err, lease.ErrLost) {
-			return cachestore.ErrLeaseLost
-		}
-		return err
-	}
-	return nil
-}
-
-// Release ends the acquired lease on key. Safe on lost or unknown leases.
-func (s *Store) Release(_ context.Context, key string) {
-	if c := s.takeClaim(key); c != nil {
-		c.Release()
-	}
-}
-
-// PoisonKey quarantines the claimed trial and releases the lease.
-func (s *Store) PoisonKey(_ context.Context, key, specHash string, attempts int, cause error) error {
-	c := s.takeClaim(key)
-	if c == nil {
-		return cachestore.ErrLeaseLost
-	}
-	return c.PoisonTrial(specHash, attempts, cause)
-}
-
-// Sweep removes stale leases among keys; see lease.Manager.Sweep.
-func (s *Store) Sweep(_ context.Context, keys []string) int {
-	if s.mgr == nil {
-		return 0
-	}
-	return s.mgr.Sweep(keys)
-}
-
-// LeaseStats snapshots the lease manager's lifetime counters.
-func (s *Store) LeaseStats() cachestore.LeaseStats {
-	if s.mgr == nil {
-		return cachestore.LeaseStats{}
-	}
-	st := s.mgr.Stats()
-	return cachestore.LeaseStats{
-		Acquired:  st.Acquired,
-		Reclaimed: st.Reclaimed,
-		Lost:      st.Lost,
-		Released:  st.Released,
-		Poisoned:  st.Poisoned,
-	}
-}
-
-func convertPoison(p *lease.Poison) *cachestore.Poison {
-	if p == nil {
-		return nil
-	}
-	return &cachestore.Poison{
-		Schema:   p.Schema,
-		Key:      p.Key,
-		SpecHash: p.SpecHash,
-		Attempts: p.Attempts,
-		Err:      p.Err,
-	}
-}
+func (s *Store) HeartbeatEvery() time.Duration { return s.heartbeat }
 
 // PutManifest atomically writes (or overwrites) the named manifest shard.
 func (s *Store) PutManifest(_ context.Context, name string, data []byte) error {

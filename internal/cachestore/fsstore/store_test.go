@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -19,7 +20,8 @@ func TestConformance(t *testing.T) {
 	conformancetest.Run(t, func(t *testing.T) *conformancetest.Harness {
 		const ttl = 300 * time.Millisecond
 		dir := t.TempDir()
-		h := &conformancetest.Harness{TTL: ttl, MaxAttempts: 2}
+		clock := newManualClock()
+		h := &conformancetest.Harness{TTL: ttl, MaxAttempts: 2, Advance: clock.Advance}
 		h.Open = func(t *testing.T, owner string) conformancetest.Full {
 			t.Helper()
 			// One OpenStore per owner over one shared directory is exactly
@@ -34,6 +36,7 @@ func TestConformance(t *testing.T) {
 			if err != nil {
 				t.Fatalf("fsstore.OpenStore: %v", err)
 			}
+			fsstore.SetClock(s, clock.Now)
 			return s
 		}
 		h.Corrupt = func(t *testing.T, key string) {
@@ -50,6 +53,28 @@ func TestConformance(t *testing.T) {
 		}
 		return h
 	})
+}
+
+// manualClock is a lease clock that starts at the wall clock's reading and
+// then moves only when advanced, so staleness tests run without sleeping and
+// no scheduler stall can age a lease behind a test's back.
+type manualClock struct {
+	mu  sync.Mutex
+	now time.Time
+}
+
+func newManualClock() *manualClock { return &manualClock{now: time.Now()} }
+
+func (c *manualClock) Now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.now
+}
+
+func (c *manualClock) Advance(d time.Duration) {
+	c.mu.Lock()
+	c.now = c.now.Add(d)
+	c.mu.Unlock()
 }
 
 // BenchmarkFSStorePut measures the per-trial publish cost of the filesystem

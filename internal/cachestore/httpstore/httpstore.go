@@ -404,13 +404,11 @@ func (s *Store) Renew(ctx context.Context, key string) error {
 	if err != nil {
 		s.lost.Add(1)
 		s.count("lease.lost")
-		s.count("httpstore.lease.lost")
 		return cachestore.ErrLeaseLost
 	}
 	if status == http.StatusConflict {
 		s.lost.Add(1)
 		s.count("lease.lost")
-		s.count("httpstore.lease.lost")
 		return cachestore.ErrLeaseLost
 	}
 	if status != http.StatusOK {

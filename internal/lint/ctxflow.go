@@ -5,13 +5,12 @@ import (
 	"go/token"
 )
 
-// concurrencyBearing is the lease/runner/serve surface: the packages whose
+// concurrencyBearing is the store/runner/serve surface: the packages whose
 // goroutines outlive single function calls (heartbeats, worker pools,
 // pollers, campaign drains) and therefore must be cancellable. The
 // ROADMAP's multi-machine growth happens exactly here.
 var concurrencyBearing = []string{
 	"gurita/internal/runner",
-	"gurita/internal/lease",
 	"gurita/internal/cachestore",
 	"gurita/internal/cachestore/fsstore",
 	"gurita/internal/cachestore/httpstore",

@@ -5,11 +5,11 @@ import (
 )
 
 // durabilityCritical is where bytes on disk are load-bearing across
-// crashes: the lease protocol, the runner's cache/manifest writes, and the
-// daemon's campaign manifests. PR 8's kill -9 chaos harness proves the
-// contract dynamically; this analyzer pins the code shapes it relies on.
+// crashes: the store's cache entries, lease files and manifest shards, the
+// runner, and the daemon's campaign manifests. PR 8's kill -9 chaos harness
+// proves the contract dynamically; this analyzer pins the code shapes it
+// relies on.
 var durabilityCritical = []string{
-	"gurita/internal/lease",
 	"gurita/internal/runner",
 	"gurita/internal/cachestore/fsstore",
 	"gurita/internal/serve",

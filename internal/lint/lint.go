@@ -151,17 +151,13 @@ var outputBearing = append([]string{
 	"gurita/internal/topo",
 	"gurita/internal/trace",
 	"gurita/internal/runner",
-	// The lease protocol gates which process executes a trial; a
-	// nondeterministic claim path would not corrupt result bytes (cache
-	// publishes are idempotent) but would corrupt the retry/reclaim
-	// accounting the manifests promise. Wall-clock staleness arithmetic is
-	// its one justified nondeterminism source, carrying a lint waiver.
-	"gurita/internal/lease",
 	// The pluggable store behind campaign execution: cache keys, envelope
 	// bytes, lease arbitration, and manifest shards all flow through these
 	// packages, so nondeterminism here corrupts the exactly-once-bytes
-	// contract across every backend. Wall-clock use (lease TTLs, retry
-	// budgets) is their one justified source, carrying lint waivers.
+	// contract across every backend; a nondeterministic claim path would
+	// also corrupt the retry/reclaim accounting the manifests promise.
+	// Wall-clock use (lease TTLs and staleness, retry budgets) is their one
+	// justified source, carrying lint waivers.
 	"gurita/internal/cachestore",
 	"gurita/internal/cachestore/fsstore",
 	"gurita/internal/cachestore/httpstore",

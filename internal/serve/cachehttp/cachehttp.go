@@ -429,7 +429,8 @@ func (s *Server) handleRenew(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleRelease removes the holder's lease. Releasing a lease that is not
-// yours (or no longer exists) is a successful no-op, mirroring lease.Claim.
+// yours (or no longer exists) is a successful no-op, mirroring fsstore's
+// Release.
 func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
 	if !validKey(key) {
