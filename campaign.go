@@ -390,13 +390,13 @@ func RunCampaign(ctx context.Context, specs []TrialSpec, opts CampaignOptions) (
 		return nil, CampaignStats{}, errors.New("gurita: CacheDir and CacheURL are mutually exclusive; pick a local directory or a remote cache server")
 	}
 	// Multi-process mode: the store's lease side plus the campaign's grid
-	// hash, which names this worker's manifest shard and lets shards from the
-	// same grid find each other. With CacheDir the leases are files in the
-	// cache; with CacheURL they live in the daemon's lease table.
+	// hash (Stats.Grid, from the runner's keys), which names this worker's
+	// manifest shard and lets shards from the same grid find each other. With
+	// CacheDir the leases are files in the cache; with CacheURL they live in
+	// the daemon's lease table.
 	var (
-		owner    string
-		gridHash string
-		reg      *obs.SyncRegistry
+		owner string
+		reg   *obs.SyncRegistry
 	)
 	if mp := opts.MultiProcess; mp != nil {
 		if opts.CacheDir == "" && opts.CacheURL == "" {
@@ -418,14 +418,6 @@ func RunCampaign(ctx context.Context, specs []TrialSpec, opts CampaignOptions) (
 		if reg == nil {
 			reg = obs.NewSyncRegistry()
 		}
-		keys := make([]string, len(norm))
-		var err error
-		for i, s := range norm {
-			if keys[i], err = runner.Key(opts.schema(), s); err != nil {
-				return nil, CampaignStats{}, err
-			}
-		}
-		gridHash = runner.GridHash(keys)
 	}
 	store, err := openCampaignStore(opts, owner, reg)
 	if err != nil {
@@ -527,10 +519,10 @@ func RunCampaign(ctx context.Context, specs []TrialSpec, opts CampaignOptions) (
 		reg.Add("runner.trials.retried", int64(stats.Retries))
 		reg.Add("runner.trials.cache_hits", int64(stats.CacheHits))
 		reg.Add("runner.trials.dedup_hits", int64(stats.DedupHits))
-		m := runner.NewWorkerManifest(metrics.WorkerManifestSchema, owner, gridHash, stats, reg.Snapshot())
+		m := runner.NewWorkerManifest(metrics.WorkerManifestSchema, owner, stats.Grid, stats, reg.Snapshot())
 		data, werr := runner.EncodeWorkerManifest(m)
 		if werr == nil {
-			werr = store.PutManifest(context.WithoutCancel(ctx), runner.ManifestName(owner, gridHash), data)
+			werr = store.PutManifest(context.WithoutCancel(ctx), runner.ManifestName(owner, stats.Grid), data)
 		}
 		if werr != nil && err == nil {
 			err = werr

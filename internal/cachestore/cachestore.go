@@ -82,23 +82,27 @@ func Key(schema string, spec any) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("cachestore: marshaling spec for key: %w", err)
 	}
+	return KeyJSON(schema, b), nil
+}
+
+// KeyJSON is Key over a spec already encoded by json.Marshal, so a caller
+// that needs the encoding anyway (to hash it with SpecHashJSON, or to
+// publish it) encodes each spec once.
+func KeyJSON(schema string, specJSON []byte) string {
 	h := sha256.New()
 	h.Write([]byte(schema))
 	h.Write([]byte{'\n'})
-	h.Write(b)
-	return hex.EncodeToString(h.Sum(nil)), nil
+	h.Write(specJSON)
+	return hex.EncodeToString(h.Sum(nil))
 }
 
-// SpecHash returns the schema-independent content hash of a spec: the hex
-// SHA-256 of its canonical JSON alone. Unlike Key it survives cache schema
-// bumps, which is why failure manifests record it.
-func SpecHash(spec any) (string, error) {
-	b, err := json.Marshal(spec)
-	if err != nil {
-		return "", fmt.Errorf("cachestore: marshaling spec for hash: %w", err)
-	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:]), nil
+// SpecHashJSON returns the schema-independent content hash of a spec
+// encoded by json.Marshal: the hex SHA-256 of that encoding alone. Unlike
+// Key it survives cache schema bumps, which is why failure manifests record
+// it.
+func SpecHashJSON(specJSON []byte) string {
+	sum := sha256.Sum256(specJSON)
+	return hex.EncodeToString(sum[:])
 }
 
 // ResultSHA hashes a result payload in canonical (compact) form, so the hash
@@ -117,7 +121,8 @@ func ResultSHA(result json.RawMessage) (string, error) {
 // and byte-compatible with the PR 8 on-disk format. Spec is stored verbatim
 // so humans (and external tooling) can inspect what produced a result
 // without reversing the hash; ResultSHA pins the result bytes so corruption
-// inside the (large) result payload is caught without recomputation.
+// inside the (large) result payload is caught without recomputation. Writers
+// build one with NewEntry; readers parse and verify one with ReadEntry.
 type Entry struct {
 	Schema    string          `json:"schema"`
 	Key       string          `json:"key"`
@@ -135,41 +140,6 @@ func NewEntry(schema, key string, spec, result json.RawMessage) (*Entry, error) 
 		return nil, fmt.Errorf("cachestore: hashing result: %w", err)
 	}
 	return &Entry{Schema: schema, Key: key, Spec: spec, Result: result, ResultSHA: sha}, nil
-}
-
-// Verify checks the envelope's content against its own claims: the recorded
-// key matches the address it was fetched under, the key recomputes from the
-// stored spec under the entry's schema (so a spec swap is caught), and the
-// result bytes hash to the recorded ResultSHA. A failure is evidence of
-// corruption (the caller should quarantine); a schema mismatch with the
-// reader is NOT checked here — that is staleness, not corruption, and each
-// backend treats it as a plain miss.
-func (e *Entry) Verify(key string) error {
-	if e.Key != key {
-		return fmt.Errorf("cachestore: entry key %s does not match address %s", shortKey(e.Key), shortKey(key))
-	}
-	if len(e.Result) == 0 || string(e.Result) == "null" {
-		return errors.New("cachestore: entry has no result payload")
-	}
-	// Recompute the content address from the stored spec. json.Marshal of a
-	// RawMessage compacts and HTML-escapes exactly like the original
-	// json.Marshal of the spec value did, so a faithful entry always
-	// re-derives its own key.
-	recomputed, err := Key(e.Schema, e.Spec)
-	if err != nil {
-		return fmt.Errorf("cachestore: recomputing entry key: %w", err)
-	}
-	if recomputed != key {
-		return fmt.Errorf("cachestore: entry spec rehashes to %s, not %s", shortKey(recomputed), shortKey(key))
-	}
-	sha, err := ResultSHA(e.Result)
-	if err != nil {
-		return fmt.Errorf("cachestore: hashing entry result: %w", err)
-	}
-	if sha != e.ResultSHA {
-		return errors.New("cachestore: entry result bytes do not match recorded hash")
-	}
-	return nil
 }
 
 // shortKey abbreviates a cache key for error messages.

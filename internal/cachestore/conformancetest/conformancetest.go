@@ -7,7 +7,7 @@
 // bar.
 //
 // The suite covers the invariants the runner leans on: put/get round-trips
-// return the published result bytes exactly; corruption is detected on read
+// return the published result bytes exactly (compact, as Put received them); corruption is detected on read
 // and quarantined out of the entry namespace; concurrent claimants on one
 // key are arbitrated to a single holder; renewal keeps a lease alive past
 // its TTL while silence forfeits it; reclaim hands the key to a peer with
@@ -62,18 +62,6 @@ type Harness struct {
 	MaxAttempts int
 }
 
-// sameJSON reports whether two JSON payloads are byte-identical in canonical
-// (compact) form — the store round-trips results through an indented
-// envelope, so raw bytes gain whitespace while content stays pinned by
-// ResultSHA.
-func sameJSON(a, b json.RawMessage) bool {
-	var ca, cb bytes.Buffer
-	if json.Compact(&ca, a) != nil || json.Compact(&cb, b) != nil {
-		return false
-	}
-	return bytes.Equal(ca.Bytes(), cb.Bytes())
-}
-
 // specFor builds the i-th test spec and its key under the store's schema.
 func specFor(t *testing.T, s cachestore.Store, i int) (json.RawMessage, string) {
 	t.Helper()
@@ -123,7 +111,7 @@ func Run(t *testing.T, factory func(t *testing.T) *Harness) {
 		if !ok {
 			t.Fatalf("Get after Put missed")
 		}
-		if !sameJSON(got, result) {
+		if !bytes.Equal(got, result) {
 			t.Fatalf("Get returned %s, want the published bytes %s", got, result)
 		}
 		if !s.Stat(ctx, key) {
@@ -162,7 +150,7 @@ func Run(t *testing.T, factory func(t *testing.T) *Harness) {
 		if !ok {
 			t.Fatalf("Get after racing Puts missed")
 		}
-		if !sameJSON(got, result) {
+		if !bytes.Equal(got, result) {
 			t.Fatalf("Get returned %s after racing Puts, want %s", got, result)
 		}
 		if n := s.Len(ctx); n != 1 {
@@ -194,7 +182,7 @@ func Run(t *testing.T, factory func(t *testing.T) *Harness) {
 		if err := s.Put(ctx, key, spec, result); err != nil {
 			t.Fatalf("Put after quarantine: %v", err)
 		}
-		if got, ok := s.Get(ctx, key); !ok || !sameJSON(got, result) {
+		if got, ok := s.Get(ctx, key); !ok || !bytes.Equal(got, result) {
 			t.Fatalf("Get after republish = (%s, %v), want the healed entry", got, ok)
 		}
 	})

@@ -78,16 +78,14 @@ func (c *Cache) count(name string) {
 	}
 }
 
-// Get returns the cached result JSON for key. A missing file, an entry
-// written under a different schema, or a legacy entry without a result hash
-// is a plain miss; an entry that fails content verification is quarantined
-// (see Cache doc) and also reported as a miss.
+// Get returns the cached result JSON for key, compact: the bytes Put was
+// given. A missing file, an entry written under a different schema, or a
+// legacy entry without a result hash is a plain miss; an entry that fails
+// content verification is quarantined (see Cache doc) and also reported as a
+// miss.
 func (c *Cache) Get(key string) (json.RawMessage, bool) {
 	e, _, ok := c.getEntry(key)
-	if !ok {
-		return nil, false
-	}
-	return e.Result, true
+	return e.Result, ok
 }
 
 // GetEnvelope returns the verified raw envelope bytes for key — what the
@@ -98,38 +96,29 @@ func (c *Cache) GetEnvelope(key string) ([]byte, bool) {
 	return raw, ok
 }
 
-// getEntry reads, parses, and verifies the entry for key, returning both the
-// decoded envelope and its raw bytes.
-func (c *Cache) getEntry(key string) (*cachestore.Entry, []byte, bool) {
+// getEntry reads and verifies the entry for key through
+// cachestore.ReadEntry, returning both the verified envelope and its raw
+// bytes.
+func (c *Cache) getEntry(key string) (cachestore.Entry, []byte, bool) {
 	if len(key) < 3 {
-		return nil, nil, false
+		return cachestore.Entry{}, nil, false
 	}
 	path := c.path(key)
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, nil, false
+		return cachestore.Entry{}, nil, false
 	}
-	var e cachestore.Entry
-	if err := json.Unmarshal(data, &e); err != nil {
-		// Does not parse: a torn or mangled write. Atomic renames should make
-		// this impossible, which is exactly why it must be preserved, not
-		// silently recomputed over.
+	e, out, _ := cachestore.ReadEntry(data, c.schema, key)
+	switch out {
+	case cachestore.Hit:
+		return e, data, true
+	case cachestore.Corrupt:
+		// A torn write that atomic renames should make impossible, a
+		// flipped bit, or a hand edit: preserve it, never silently
+		// recompute over it.
 		c.quarantine(path)
-		return nil, nil, false
 	}
-	if e.Schema != c.schema {
-		// Another schema's entry is stale, not corrupt.
-		return nil, nil, false
-	}
-	if e.ResultSHA == "" {
-		// Legacy entry from before result hashing: unverifiable, recompute.
-		return nil, nil, false
-	}
-	if e.Verify(key) != nil {
-		c.quarantine(path)
-		return nil, nil, false
-	}
-	return &e, data, true
+	return cachestore.Entry{}, nil, false
 }
 
 // Stat reports whether an entry file exists for key, without reading or

@@ -1,6 +1,7 @@
 package fsstore_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -14,6 +15,7 @@ import (
 	"gurita/internal/cachestore/conformancetest"
 	"gurita/internal/cachestore/fsstore"
 	"gurita/internal/leakcheck"
+	"gurita/internal/metrics"
 )
 
 func TestConformance(t *testing.T) {
@@ -99,6 +101,99 @@ func BenchmarkFSStorePut(b *testing.B) {
 		if err := s.Put(ctx, key, spec, result); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkFSStoreGet measures one verified local hit on an entry shaped
+// like a sweep-warm trial's (a 10-job result document with the engine's
+// counters, about 3.7 KB on disk): the read, the one-pass envelope check and
+// the spec rehash. Its allocs/op is pinned in BENCH_baseline.json.
+func BenchmarkFSStoreGet(b *testing.B) {
+	s, err := fsstore.OpenStore(fsstore.Config{Dir: b.TempDir(), Schema: "bench-v1"})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	spec := json.RawMessage(`{"scheduler":"gurita","scenario":"trace","structure":2,"scale":{"TraceCoflows":10,"FatTreeK":4,"BurstyJobs":0,"BurstyFatTreeK":0,"BurstSize":0,"Seed":7,"MaxSenders":6,"MaxReducers":3,"TraceTimeScale":0.1,"BurstyCategoryWeights":[0,0,0,0,0,0,0],"Trials":0},"queues":4,"topo":"fattree","oversub":1}`)
+	result, err := json.Marshal(benchResultDoc())
+	if err != nil {
+		b.Fatal(err)
+	}
+	key := cachestore.KeyJSON("bench-v1", spec)
+	if err := s.Put(ctx, key, spec, result); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := s.Get(ctx, key); !ok {
+			b.Fatal("benchmark entry missed")
+		}
+	}
+}
+
+// benchResultDoc is a result document of a sweep-warm trial's shape and
+// size: ten jobs and the engine's counters.
+func benchResultDoc() metrics.ResultDoc {
+	doc := metrics.ResultDoc{
+		Scheduler: "gurita", AvgJCT: 6.368621264980132, AvgCCT: 3.669936974266733, EndTime: 46.733111689667815,
+		Events: 5088, TotalBytes: 246967693568, MaxActiveFlows: 319,
+		Counters: map[string]int64{"netmod_reallocs": 378, "netmod_tier_solves": 659, "netmod_waterfill_rounds": 2918, "stage_releases": 90},
+	}
+	for i := 0; i < 10; i++ {
+		arrival := 0.07435443748460434 * float64(i)
+		doc.Jobs = append(doc.Jobs, metrics.JobDoc{
+			ID: int64(i), Arrival: arrival, Finished: arrival + 2.288702610427914, JCT: 2.288702610427914,
+			TotalBytes: 4449991736 + int64(i), Category: "III", NumStages: 3, NumCoflows: 9,
+		})
+	}
+	for _, h := range []string{"active_flows", "sched_dirty_set"} {
+		doc.Counters[h+"_count"] = 5086
+		for le := 1; le <= 512; le *= 2 {
+			doc.Counters[fmt.Sprintf("%s_le_%d", h, le)] = int64(5000 + le)
+		}
+	}
+	return doc
+}
+
+// TestGetReactions pins fsstore's reaction to each cachestore.ReadEntry
+// outcome: a hit serves the bytes Put was given, a stale entry is a plain
+// miss left in place, and a corrupt one is moved into quarantine/ and
+// counted on runner.cache.quarantined.
+func TestGetReactions(t *testing.T) {
+	const schema = "reactions-v1"
+	for _, env := range conformancetest.Envelopes(t, schema) {
+		t.Run(env.Name, func(t *testing.T) {
+			dir := t.TempDir()
+			reg := &countingRegistry{}
+			s, err := fsstore.OpenStore(fsstore.Config{Dir: dir, Schema: schema, Counters: reg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(dir, env.Key[:2], env.Key+".json")
+			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			writeFile(t, path, env.Data)
+
+			got, ok := s.Get(context.Background(), env.Key)
+			if ok != (env.Outcome == cachestore.Hit) || !bytes.Equal(got, env.Result) {
+				t.Fatalf("Get = %s, %v; want %s, %v", got, ok, env.Result, env.Outcome == cachestore.Hit)
+			}
+			corrupt := env.Outcome == cachestore.Corrupt
+			_, inPlace := os.Stat(path)
+			_, inQuarantine := os.Stat(filepath.Join(dir, cachestore.QuarantineDir, env.Key+".json"))
+			if (inPlace == nil) == corrupt || (inQuarantine == nil) != corrupt {
+				t.Errorf("entry in place: %v, in quarantine: %v; want quarantined %v", inPlace == nil, inQuarantine == nil, corrupt)
+			}
+			want := int64(0)
+			if corrupt {
+				want = 1
+			}
+			if n := reg.get("runner.cache.quarantined"); n != want {
+				t.Errorf("runner.cache.quarantined = %d, want %d", n, want)
+			}
+		})
 	}
 }
 

@@ -33,6 +33,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -218,7 +219,8 @@ func (s *Store) do(ctx context.Context, method, urlStr string, body []byte) (sta
 	}
 }
 
-// Get fetches and re-verifies the envelope for key. Any failure — a miss, a
+// Get fetches and re-verifies the envelope for key, returning the compact
+// result (the bytes Put was given). Any failure — a miss, a
 // 4xx, verification, or an outage past the budget — degrades to a miss:
 // re-execution is always correct. A verification failure additionally asks
 // the server to quarantine its copy.
@@ -230,22 +232,19 @@ func (s *Store) Get(ctx context.Context, key string) (json.RawMessage, bool) {
 		}
 		return nil, false
 	}
-	var e cachestore.Entry
-	if jerr := json.Unmarshal(body, &e); jerr != nil {
-		s.quarantineRemote(ctx, key)
-		return nil, false
-	}
-	if e.Schema != s.schema || e.ResultSHA == "" {
-		return nil, false
-	}
-	if verr := e.Verify(key); verr != nil {
+	e, out, verr := cachestore.ReadEntry(body, s.schema, key)
+	switch out {
+	case cachestore.Hit:
+		return e.Result, true
+	case cachestore.Corrupt:
 		// The server's copy (or the transport) is corrupt end-to-end:
 		// preserve the evidence server-side, then miss.
-		s.count("httpstore.get.verify_failed")
+		if !errors.Is(verr, cachestore.ErrMalformed) {
+			s.count("httpstore.get.verify_failed")
+		}
 		s.quarantineRemote(ctx, key)
-		return nil, false
 	}
-	return e.Result, true
+	return nil, false
 }
 
 // quarantineRemote is the best-effort evidence-preservation callback.

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -202,6 +203,79 @@ func TestOpenValidation(t *testing.T) {
 	if _, err := httpstore.Open(httpstore.Config{BaseURL: "http://host:7070/", Schema: "v1", Owner: "w"}); err != nil {
 		t.Errorf("Open rejected a valid config: %v", err)
 	}
+}
+
+// TestGetReactions pins httpstore's reaction to each cachestore.ReadEntry
+// outcome on an envelope the server ships: a hit serves the bytes Put was
+// given; a stale entry is a plain miss; a corrupt one is reported back for
+// server-side quarantine, and counted on httpstore.get.verify_failed when it
+// parsed but failed verification.
+func TestGetReactions(t *testing.T) {
+	const schema = "reactions-v1"
+	for _, env := range conformancetest.Envelopes(t, schema) {
+		t.Run(env.Name, func(t *testing.T) {
+			var (
+				mu          sync.Mutex
+				quarantined []string
+			)
+			mux := http.NewServeMux()
+			mux.HandleFunc("GET /v1/cache/entries/{key}", func(w http.ResponseWriter, r *http.Request) {
+				_, _ = w.Write(env.Data)
+			})
+			mux.HandleFunc("POST /v1/cache/entries/{key}/quarantine", func(w http.ResponseWriter, r *http.Request) {
+				mu.Lock()
+				quarantined = append(quarantined, r.PathValue("key"))
+				mu.Unlock()
+				w.WriteHeader(http.StatusNoContent)
+			})
+			ts := httptest.NewServer(mux)
+			defer ts.Close()
+			reg := &counters{}
+			s, err := httpstore.Open(httpstore.Config{BaseURL: ts.URL, Schema: schema, Owner: "w1", Counters: reg})
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			got, ok := s.Get(context.Background(), env.Key)
+			if ok != (env.Outcome == cachestore.Hit) || !bytes.Equal(got, env.Result) {
+				t.Fatalf("Get = %s, %v; want %s, %v", got, ok, env.Result, env.Outcome == cachestore.Hit)
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			corrupt := env.Outcome == cachestore.Corrupt
+			if corrupt != (len(quarantined) == 1 && quarantined[0] == env.Key) || len(quarantined) > 1 {
+				t.Errorf("remote quarantine requests %v; want one for %s: %v", quarantined, env.Key[:8], corrupt)
+			}
+			want := int64(0)
+			if corrupt && !errors.Is(env.Err, cachestore.ErrMalformed) {
+				want = 1
+			}
+			if n := reg.get("httpstore.get.verify_failed"); n != want {
+				t.Errorf("httpstore.get.verify_failed = %d, want %d", n, want)
+			}
+		})
+	}
+}
+
+// counters is a minimal cachestore.Counters for asserting emission.
+type counters struct {
+	mu sync.Mutex
+	m  map[string]int64
+}
+
+func (c *counters) Add(name string, d int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.m == nil {
+		c.m = map[string]int64{}
+	}
+	c.m[name] += d
+}
+
+func (c *counters) get(name string) int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.m[name]
 }
 
 // BenchmarkHTTPStoreGet measures a verified remote cache hit: one HTTP round

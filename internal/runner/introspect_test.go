@@ -252,10 +252,7 @@ func TestRunRecordsRetriesAndManifestIdentity(t *testing.T) {
 	if f.Schema != "manifest-test-v1" {
 		t.Fatalf("failure schema = %q", f.Schema)
 	}
-	wantHash, err := cachestore.SpecHash(3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wantHash := cachestore.SpecHashJSON([]byte("3"))
 	if f.SpecHash != wantHash {
 		t.Fatalf("failure spec hash = %q, want %q", f.SpecHash, wantHash)
 	}

@@ -260,7 +260,8 @@ func TestLeasedPoisonInheritance(t *testing.T) {
 	if f.Index != badIdx || !strings.Contains(f.Err, "deterministic trial failure") {
 		t.Errorf("inherited failure = %+v", f)
 	}
-	wantHash, _ := cachestore.SpecHash(specs[badIdx])
+	specJSON, _ := json.Marshal(specs[badIdx])
+	wantHash := cachestore.SpecHashJSON(specJSON)
 	if f.SpecHash != wantHash {
 		t.Errorf("inherited failure spec hash = %s, want %s", f.SpecHash, wantHash)
 	}

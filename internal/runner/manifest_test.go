@@ -158,3 +158,26 @@ func TestMergeWorkerManifests(t *testing.T) {
 		t.Errorf("empty merge = %+v, %v", m, err)
 	}
 }
+
+// TestRunGridHash: with a store, Run reports GridHash over the keys it
+// derived as Stats.Grid, equal to the hash over runner.Key's keys, so a
+// worker's manifest shard names the grid its peers name; without a store
+// there are no keys and no grid.
+func TestRunGridHash(t *testing.T) {
+	specs := []trial{{Name: "a", Seed: 1}, {Name: "b", Seed: 2}, {Name: "c", Seed: 3}}
+	exec := func(_ context.Context, s trial) (outcome, error) { return run(s), nil }
+	_, stats, err := Run(context.Background(), specs, exec, Options{Workers: 2, Store: openStore(t, t.TempDir(), "v1")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys []string
+	for _, s := range specs {
+		keys = append(keys, mustKey(t, "v1", s))
+	}
+	if want := GridHash(keys); stats.Grid != want {
+		t.Errorf("Stats.Grid = %s, want %s", stats.Grid, want)
+	}
+	if _, stats, err = Run(context.Background(), specs, exec, Options{Workers: 2}); err != nil || stats.Grid != "" {
+		t.Errorf("uncached run: Stats.Grid = %q, err %v; want none", stats.Grid, err)
+	}
+}

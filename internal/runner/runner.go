@@ -118,6 +118,9 @@ type Stats struct {
 	Failures []TrialFailure
 	// Elapsed is the campaign wall-clock time.
 	Elapsed time.Duration
+	// Grid is GridHash over the trial keys, which names a multi-process
+	// worker's manifest shard; empty without a Store.
+	Grid string
 }
 
 // Options tunes a campaign run.
@@ -235,29 +238,31 @@ func Run[S, R any](ctx context.Context, specs []S, exec func(ctx context.Context
 	}
 
 	// Key every spec up front: a spec that cannot be hashed is a programming
-	// error better reported before any work starts. Spec hashes (schema-free)
-	// are computed regardless of caching: the failure manifest records them
-	// so a degraded campaign's failed trials stay identifiable across schema
-	// bumps.
+	// error better reported before any work starts. Each spec is encoded
+	// once; its schema-free hash comes from those bytes regardless of
+	// caching (the failure manifest records it so a degraded campaign's
+	// failed trials stay identifiable across schema bumps), and with a store
+	// so do its key and a miss's published spec.
 	keys := make([]string, len(specs))
 	specHashes := make([]string, len(specs))
+	specJSON := make([][]byte, len(specs))
 	schema := ""
 	if store != nil {
 		schema = store.Schema()
 	}
 	for i, s := range specs {
-		h, err := cachestore.SpecHash(s)
+		b, err := json.Marshal(s)
 		if err != nil {
-			return nil, stats, err
+			return nil, stats, fmt.Errorf("runner: marshaling spec: %w", err)
 		}
-		specHashes[i] = h
+		specHashes[i] = cachestore.SpecHashJSON(b)
 		if store != nil {
-			k, err := Key(schema, s)
-			if err != nil {
-				return nil, stats, err
-			}
-			keys[i] = k
+			keys[i] = cachestore.KeyJSON(schema, b)
+			specJSON[i] = b
 		}
+	}
+	if store != nil {
+		stats.Grid = GridHash(keys)
 	}
 
 	ctx, cancel := context.WithCancel(ctx)
@@ -373,7 +378,7 @@ func Run[S, R any](ctx context.Context, specs []S, exec func(ctx context.Context
 				if ctx.Err() != nil {
 					return
 				}
-				res, hit, attempts, err := runOne(ctx, gateCtx, i, specs[i], keys[i], specHashes[i], exec, opts, store, leases)
+				res, hit, attempts, err := runOne(ctx, gateCtx, i, specs[i], specJSON[i], keys[i], specHashes[i], exec, opts, store, leases)
 				if err != nil {
 					// A drain abandons trials still waiting for admission:
 					// they are skipped, not failed — the resubmission will
@@ -463,7 +468,7 @@ func isDrainAbort(err error) bool {
 // coalescing (in-process), then lease coordination (cross-process), then
 // gated execution (through the panic-recovering retry ladder) plus
 // write-back on a miss.
-func runOne[S, R any](ctx, gateCtx context.Context, index int, spec S, key, specHash string, exec func(context.Context, S) (R, error), opts Options, store cachestore.Store, leases cachestore.LeaseStore) (res R, hit hitKind, attempts int, err error) {
+func runOne[S, R any](ctx, gateCtx context.Context, index int, spec S, specJSON []byte, key, specHash string, exec func(context.Context, S) (R, error), opts Options, store cachestore.Store, leases cachestore.LeaseStore) (res R, hit hitKind, attempts int, err error) {
 	if store != nil && !opts.Force {
 		if raw, ok := store.Get(ctx, key); ok {
 			if err := json.Unmarshal(raw, &res); err == nil {
@@ -487,10 +492,6 @@ func runOne[S, R any](ctx, gateCtx context.Context, index int, spec S, key, spec
 			return zero, att, fmt.Errorf("runner: trial %s: %w", shortKey(key), aerr)
 		}
 		if store != nil {
-			specJSON, merr := json.Marshal(spec)
-			if merr != nil {
-				return zero, att, &infraError{fmt.Errorf("runner: marshaling spec: %w", merr)}
-			}
 			resultJSON, merr := json.Marshal(r)
 			if merr != nil {
 				return zero, att, &infraError{fmt.Errorf("runner: marshaling result: %w", merr)}

@@ -26,6 +26,7 @@ package cachehttp
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -226,16 +227,15 @@ func (s *Server) handlePutEntry(w http.ResponseWriter, r *http.Request) {
 		fail(w, http.StatusBadRequest, "reading entry body: %v", err)
 		return
 	}
-	var e cachestore.Entry
-	if err := json.Unmarshal(body, &e); err != nil {
-		fail(w, http.StatusBadRequest, "decoding entry envelope: %v", err)
-		return
-	}
-	if e.Schema != schema {
-		fail(w, http.StatusBadRequest, "envelope schema %q does not match request schema %q", e.Schema, schema)
-		return
-	}
-	if err := e.Verify(key); err != nil {
+	e, out, err := cachestore.ReadEntry(body, schema, key)
+	if out != cachestore.Hit {
+		// An envelope that is not an entry, or one for another schema, is a
+		// bad request; one that parses but fails verification (a legacy
+		// entry without a result hash included) is unprocessable.
+		if errors.Is(err, cachestore.ErrMalformed) || errors.Is(err, cachestore.ErrOtherSchema) {
+			fail(w, http.StatusBadRequest, "decoding entry envelope: %v", err)
+			return
+		}
 		s.count("cachehttp.put.rejected")
 		fail(w, http.StatusUnprocessableEntity, "envelope failed verification: %v", err)
 		return
