@@ -105,15 +105,17 @@ func SpecHashJSON(specJSON []byte) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// ResultSHA hashes a result payload in canonical (compact) form, so the hash
-// is invariant under the whitespace MarshalIndent re-introduces when an
-// envelope is written and re-read.
+// ResultSHA hashes a result payload in the form an envelope stores it:
+// compact, so the hash is invariant under the whitespace MarshalIndent
+// re-introduces, and HTML-escaped as json.Marshal re-encodes a RawMessage,
+// so a result holding a raw <, >, &, U+2028 or U+2029 still verifies when
+// read back. For json.Marshal output both steps are the identity.
 func ResultSHA(result json.RawMessage) (string, error) {
 	var buf bytes.Buffer
 	if err := json.Compact(&buf, result); err != nil {
 		return "", err
 	}
-	sum := sha256.Sum256(buf.Bytes())
+	sum := sha256.Sum256(htmlEscaped(buf.Bytes()))
 	return hex.EncodeToString(sum[:]), nil
 }
 

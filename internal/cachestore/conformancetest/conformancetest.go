@@ -7,13 +7,14 @@
 // bar.
 //
 // The suite covers the invariants the runner leans on: put/get round-trips
-// return the published result bytes exactly (compact, as Put received them); corruption is detected on read
-// and quarantined out of the entry namespace; concurrent claimants on one
-// key are arbitrated to a single holder; renewal keeps a lease alive past
-// its TTL while silence forfeits it; reclaim hands the key to a peer with
-// the attempt lineage intact; the attempt budget converts a crash-looping
-// trial into a poison verdict peers inherit; and racing publishers of one
-// key converge on a single verified entry.
+// return the published result bytes in json.Marshal's form (compact and
+// HTML-escaped, which is how the runner produces them); corruption is
+// detected on read and quarantined out of the entry namespace; concurrent
+// claimants on one key are arbitrated to a single holder; renewal keeps a
+// lease alive past its TTL while silence forfeits it; reclaim hands the key
+// to a peer with the attempt lineage intact; the attempt budget converts a
+// crash-looping trial into a poison verdict peers inherit; and racing
+// publishers of one key converge on a single verified entry.
 package conformancetest
 
 import (
@@ -95,30 +96,41 @@ func Run(t *testing.T, factory func(t *testing.T) *Harness) {
 	t.Run("RoundTrip", func(t *testing.T) {
 		h := factory(t)
 		s := h.Open(t, "w1")
-		spec, key := specFor(t, s, 1)
-		result := json.RawMessage(`{"metric":42,"rows":[1,2,3]}`)
+		// Each result is Put as given and served back in json.Marshal's
+		// form: compact and HTML-escaped. The first is already in that form;
+		// the others hold a raw <, &, > and U+2028, which the stored envelope
+		// escapes, so Put must hash what the envelope holds.
+		for i, c := range []struct{ put, want string }{
+			{`{"metric":42,"rows":[1,2,3]}`, `{"metric":42,"rows":[1,2,3]}`},
+			{`{"cmp": "a<b"}`, `{"cmp":"a\u003cb"}`},
+			{`{"and":"x&y","gt":">"}`, `{"and":"x\u0026y","gt":"\u003e"}`},
+			{"{\"sep\":\"\u2028\"}", `{"sep":"\u2028"}`},
+		} {
+			spec, key := specFor(t, s, 1+i)
+			result := json.RawMessage(c.put)
 
-		if _, ok := s.Get(ctx, key); ok {
-			t.Fatalf("Get before Put reported a hit")
-		}
-		if s.Stat(ctx, key) {
-			t.Fatalf("Stat before Put reported an entry")
-		}
-		if err := s.Put(ctx, key, spec, result); err != nil {
-			t.Fatalf("Put: %v", err)
-		}
-		got, ok := s.Get(ctx, key)
-		if !ok {
-			t.Fatalf("Get after Put missed")
-		}
-		if !bytes.Equal(got, result) {
-			t.Fatalf("Get returned %s, want the published bytes %s", got, result)
-		}
-		if !s.Stat(ctx, key) {
-			t.Fatalf("Stat after Put reported no entry")
-		}
-		if n := s.Len(ctx); n != 1 {
-			t.Fatalf("Len = %d after one Put, want 1", n)
+			if _, ok := s.Get(ctx, key); ok {
+				t.Fatalf("Get before Put reported a hit")
+			}
+			if s.Stat(ctx, key) {
+				t.Fatalf("Stat before Put reported an entry")
+			}
+			if err := s.Put(ctx, key, spec, result); err != nil {
+				t.Fatalf("Put %s: %v", result, err)
+			}
+			got, ok := s.Get(ctx, key)
+			if !ok {
+				t.Fatalf("Get after Put of %s missed", result)
+			}
+			if string(got) != c.want {
+				t.Fatalf("Get returned %s, want the published bytes %s", got, c.want)
+			}
+			if !s.Stat(ctx, key) {
+				t.Fatalf("Stat after Put reported no entry")
+			}
+			if n := s.Len(ctx); n != 1+i {
+				t.Fatalf("Len = %d after %d Puts, want %d", n, 1+i, 1+i)
+			}
 		}
 	})
 

@@ -164,7 +164,7 @@ func TestReadEntryHTMLEscapedSpec(t *testing.T) {
 // rejects, and what both serve is the same result, compact. Every envelope
 // the writers produce from a fuzzed spec and result (NewEntry, then
 // MarshalIndent as fsstore and httpstore write it, or json.Marshal) is a hit
-// under both, serving exactly the result bytes Put was given.
+// under both, serving the result bytes Put was given in json.Marshal's form.
 func FuzzReadEntry(f *testing.F) {
 	spec, result, key := writerInputs(f, "gurita")
 	e, err := NewEntry(testSchema, key, spec, result)
@@ -215,13 +215,15 @@ func FuzzReadEntry(f *testing.F) {
 			}
 		}
 
-		// The writers, fed the fuzzed JSON as spec and as result.
+		// The writers, fed the fuzzed JSON as spec (in json.Marshal's form,
+		// as the runner keys it) and as result (verbatim: Put accepts any
+		// valid JSON, and serves it back in json.Marshal's form).
 		specJSON, err := json.Marshal(json.RawMessage(data))
 		if err != nil || string(specJSON) == "null" {
 			return // not JSON, or a null result, which no trial produces
 		}
 		k := KeyJSON(testSchema, specJSON)
-		e, err := NewEntry(testSchema, k, specJSON, specJSON)
+		e, err := NewEntry(testSchema, k, specJSON, data)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,9 @@
 package cachestore
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -46,7 +49,7 @@ func refVerify(e *Entry, key string) error {
 	if recomputed != key {
 		return fmt.Errorf("cachestore: entry spec rehashes to %s, not %s", shortKey(recomputed), shortKey(key))
 	}
-	sha, err := ResultSHA(e.Result)
+	sha, err := refResultSHA(e.Result)
 	if err != nil {
 		return fmt.Errorf("cachestore: hashing entry result: %w", err)
 	}
@@ -54,4 +57,15 @@ func refVerify(e *Entry, key string) error {
 		return errors.New("cachestore: entry result bytes do not match recorded hash")
 	}
 	return nil
+}
+
+// refResultSHA is the hash the former Entry.Verify checked: the SHA-256 of
+// the result as read back, compacted but not re-escaped.
+func refResultSHA(result json.RawMessage) (string, error) {
+	var buf bytes.Buffer
+	if err := json.Compact(&buf, result); err != nil {
+		return "", err
+	}
+	sum := sha256.Sum256(buf.Bytes())
+	return hex.EncodeToString(sum[:]), nil
 }

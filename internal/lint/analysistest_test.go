@@ -138,14 +138,6 @@ func parseWants(t *testing.T, fset *token.FileSet, f *ast.File) []*expectation {
 // and matches diagnostics against the fixture's want comments.
 func runFixture(t *testing.T, a *Analyzer, fixture string) {
 	t.Helper()
-	runFixtureWith(t, a, fixture, nil)
-}
-
-// runFixtureWith is runFixture with a hook to mutate the Pass before the
-// analyzer runs — how the allocbound fixture injects synthetic escape
-// diagnostics without shelling out to the compiler.
-func runFixtureWith(t *testing.T, a *Analyzer, fixture string, setup func(*Pass)) {
-	t.Helper()
 	dir := filepath.Join("testdata", "src", fixture)
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -188,9 +180,6 @@ func runFixtureWith(t *testing.T, a *Analyzer, fixture string, setup func(*Pass)
 		Pkg:        pkg,
 		TypesInfo:  info,
 		Directives: ParseDirectives(fset, files),
-	}
-	if setup != nil {
-		setup(pass)
 	}
 	if err := a.Run(pass); err != nil {
 		t.Fatalf("%s on fixture %s: %v", a.Name, fixture, err)

@@ -34,7 +34,6 @@ var concurrencyBearing = []string{
 //     minting site and carries a //lint:ignore ctxflow justification.
 var CtxFlow = &Analyzer{
 	Name:     "ctxflow",
-	Doc:      "requires unbounded wait loops to observe cancellation and forbids minting root contexts mid-stack",
 	Packages: concurrencyBearing,
 	Run:      runCtxFlow,
 }

@@ -89,9 +89,6 @@ func TestAppliesTo(t *testing.T) {
 	if !MapRange.AppliesTo("gurita/internal/sim") {
 		t.Error("maprange should apply to internal/sim")
 	}
-	if !MapRange.AppliesTo("gurita/internal/sim [gurita/internal/sim.test]") {
-		t.Error("vet test-variant suffix should be stripped before matching")
-	}
 	if MapRange.AppliesTo("gurita/internal/lint") {
 		t.Error("maprange must not apply to the lint package itself")
 	}

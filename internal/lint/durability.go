@@ -33,7 +33,6 @@ var durabilityCritical = []string{
 //     //lint:ignore durability justification instead.
 var Durability = &Analyzer{
 	Name:     "durability",
-	Doc:      "enforces temp+fsync+rename writes and unswallowed Sync/Rename/Close errors in crash-durability-critical packages",
 	Packages: durabilityCritical,
 	Run:      runDurability,
 }

@@ -26,7 +26,6 @@ import (
 // field — is justified with //lint:ignore floatcmp <reason>.
 var FloatCmp = &Analyzer{
 	Name:     "floatcmp",
-	Doc:      "flags exact floating-point equality comparisons outside epsilon helpers",
 	Packages: outputBearing,
 	Run:      runFloatCmp,
 }

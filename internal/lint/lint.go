@@ -1,14 +1,18 @@
 // Package lint is guritalint's analyzer suite: a set of static checks
-// that turn the repo's determinism invariants — byte-identical event
-// trajectories, delta≡batch rate allocation, fault-replay identity,
-// content-addressed cache keys — into build-time errors instead of
-// replay-test failures.
+// that turn the repo's determinism, concurrency and durability invariants —
+// byte-identical event trajectories, delta≡batch rate allocation,
+// fault-replay identity, content-addressed cache keys, cancellable waits,
+// crash-safe writes — into findings on every test run, instead of replay
+// failures that surface only when an input happens to exercise them.
 //
-// The framework mirrors the shape of golang.org/x/tools/go/analysis
-// (Analyzer / Pass / Diagnostic) but is built entirely on the standard
-// library so the module stays dependency-free: the container this repo is
-// grown in has no network access, so x/tools cannot be vendored. If the
-// module ever gains the real dependency, each Analyzer.Run ports directly.
+// TestTreeClean is the driver: it loads the whole module through
+// LoadPackages, runs Analyzers, and fails on any diagnostic, so `go test
+// ./...` enforces the suite. The framework mirrors the shape of
+// golang.org/x/tools/go/analysis (Analyzer / Pass / Diagnostic) but is
+// built entirely on the standard library so the module stays
+// dependency-free: the build environment has no network access, so x/tools
+// cannot be vendored. If the module ever gains the real dependency, each
+// Analyzer.Run ports directly.
 //
 // Analyzers and scopes are documented in DESIGN.md §11. The suppression
 // policy: every escape hatch (//lint:sorted, //lint:ignore) must carry a
@@ -32,18 +36,13 @@ import (
 // listed import paths.
 type Analyzer struct {
 	Name     string
-	Doc      string
 	Packages []string // import paths the check is scoped to; empty = all
 	Run      func(*Pass) error
 }
 
 // AppliesTo reports whether the driver should run the analyzer on the
-// package with the given import path. Vet's test-variant suffix
-// ("pkg [pkg.test]") is stripped before matching.
+// package with the given import path.
 func (a *Analyzer) AppliesTo(importPath string) bool {
-	if i := strings.IndexByte(importPath, ' '); i >= 0 {
-		importPath = importPath[:i]
-	}
 	if len(a.Packages) == 0 {
 		return true
 	}
@@ -64,10 +63,6 @@ type Pass struct {
 	Pkg        *types.Package
 	TypesInfo  *types.Info
 	Directives *Directives
-	// Escapes carries parsed `go build -gcflags=-m` diagnostics when the
-	// driver ran the allocbound escape gate (standalone/CI); nil under the
-	// vet driver, where allocbound runs its static checks only.
-	Escapes *EscapeSet
 
 	diags []Diagnostic
 }
@@ -191,7 +186,6 @@ func Analyzers() []*Analyzer {
 		LockCheck,
 		CtxFlow,
 		Durability,
-		AllocBound,
 		LintDirective,
 	}
 }
@@ -223,7 +217,6 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) 
 				Pkg:        pkg.Types,
 				TypesInfo:  pkg.Info,
 				Directives: dirs,
-				Escapes:    pkg.Escapes,
 			}
 			if err := an.Run(pass); err != nil {
 				return nil, fmt.Errorf("%s: %s: %w", pkg.Path, an.Name, err)

@@ -10,7 +10,6 @@ import "strings"
 // CI stays red until a reason is written.
 var LintDirective = &Analyzer{
 	Name: "lintdirective",
-	Doc:  "requires every //lint: suppression to carry a justification and name a known analyzer",
 }
 
 // Run is assigned in init to break the initialization cycle through

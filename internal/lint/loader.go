@@ -14,7 +14,6 @@ import (
 	"os/exec"
 	"path/filepath"
 	"sort"
-	"strings"
 )
 
 // A Package is one parsed, type-checked package ready for analysis.
@@ -28,9 +27,6 @@ type Package struct {
 	// TypeErrors collects soft type-check problems; analysis still runs
 	// on the partial information.
 	TypeErrors []error
-	// Escapes is attached by drivers that run the allocbound escape gate
-	// (see CollectEscapes); nil otherwise.
-	Escapes *EscapeSet
 }
 
 // listedPackage is the subset of `go list -json` output the loader needs.
@@ -132,15 +128,9 @@ func newTypesInfo() *types.Info {
 	}
 }
 
-// exportImporter resolves imports from a path→export-data-file map via the
-// gc importer, with an optional source-path→package-path translation (the
-// vet driver's ImportMap).
-type exportImporter struct {
-	gc        types.ImporterFrom
-	importMap map[string]string
-}
-
-func newExportImporter(fset *token.FileSet, exports map[string]string) *exportImporter {
+// newExportImporter resolves imports from a path→export-data-file map via
+// the gc importer.
+func newExportImporter(fset *token.FileSet, exports map[string]string) types.Importer {
 	lookup := func(path string) (io.ReadCloser, error) {
 		file, ok := exports[path]
 		if !ok {
@@ -148,66 +138,5 @@ func newExportImporter(fset *token.FileSet, exports map[string]string) *exportIm
 		}
 		return os.Open(file)
 	}
-	return &exportImporter{gc: importer.ForCompiler(fset, "gc", lookup).(types.ImporterFrom)}
-}
-
-func (e *exportImporter) Import(path string) (*types.Package, error) {
-	return e.ImportFrom(path, "", 0)
-}
-
-func (e *exportImporter) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
-	if e.importMap != nil {
-		if canonical, ok := e.importMap[path]; ok {
-			path = canonical
-		}
-	}
-	return e.gc.ImportFrom(path, dir, 0)
-}
-
-// ---- vet -vettool driver support ----------------------------------------
-
-// VetConfig mirrors cmd/go's vetConfig: the JSON file the go command hands
-// a vet tool for each package. Fields the tool does not consume are
-// omitted from the struct (unknown JSON keys are ignored on decode).
-type VetConfig struct {
-	ID                        string
-	Dir                       string
-	ImportPath                string
-	GoFiles                   []string
-	NonGoFiles                []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	Standard                  map[string]bool
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-// LoadVetPackage builds a Package from a vet.cfg, type-checking the listed
-// files against the export data the go command already compiled. Test
-// variants ("pkg [pkg.test]") include _test.go files in GoFiles; they are
-// type-checked (the package would not cohere otherwise) and the analyzers
-// skip them at reporting time.
-func LoadVetPackage(cfgPath string) (*Package, *VetConfig, error) {
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		return nil, nil, err
-	}
-	var cfg VetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		return nil, nil, fmt.Errorf("parse %s: %v", cfgPath, err)
-	}
-	fset := token.NewFileSet()
-	imp := newExportImporter(fset, cfg.PackageFile)
-	imp.importMap = cfg.ImportMap
-	importPath := cfg.ImportPath
-	if i := strings.IndexByte(importPath, ' '); i >= 0 {
-		importPath = importPath[:i]
-	}
-	pkg, err := typeCheckDir(fset, importPath, cfg.Dir, cfg.GoFiles, imp)
-	if err != nil {
-		return nil, &cfg, err
-	}
-	pkg.Path = cfg.ImportPath // keep the variant suffix for AppliesTo's strip
-	return pkg, &cfg, nil
+	return importer.ForCompiler(fset, "gc", lookup)
 }

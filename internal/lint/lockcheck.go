@@ -8,20 +8,18 @@ import (
 )
 
 // LockCheck enforces the repo's sync.Mutex/RWMutex discipline in the
-// concurrency-bearing packages. Three families of findings:
+// concurrency-bearing packages. Two families of findings:
 //
-//  1. Locks copied by value: a parameter, receiver, result, assignment, or
-//     range value whose type (transitively) contains a sync lock. A copied
-//     lock guards nothing — the copy and the original serialize different
-//     critical sections that believe they exclude each other.
-//  2. Blocking operations while a mutex is held: channel sends/receives,
+//  1. Blocking operations while a mutex is held: channel sends/receives,
 //     select (without a default), time.Sleep, file and network I/O between
 //     Lock and Unlock (or, with a deferred Unlock, anywhere after the
 //     Lock). Blocking under a lock turns an unrelated slow peer into a
 //     serialization point — exactly the failure mode that would let one
 //     stalled tenant wedge the daemon's admission path.
-//  3. Exit paths that skip Unlock: a return reached while a mutex is held
+//  2. Exit paths that skip Unlock: a return reached while a mutex is held
 //     without a deferred Unlock covering it leaves the lock held forever.
+//
+// Locks copied by value are go vet's copylocks check, which CI runs.
 //
 // The analysis is lexical per function and keys critical sections by the
 // lock's receiver expression text ("s.mu", "c.mu"), the same granularity
@@ -30,14 +28,12 @@ import (
 // flows carry a //lint:ignore lockcheck justification.
 var LockCheck = &Analyzer{
 	Name:     "lockcheck",
-	Doc:      "flags locks copied by value, blocking operations under a held mutex, and exit paths that skip Unlock",
 	Packages: outputBearing,
 	Run:      runLockCheck,
 }
 
 func runLockCheck(pass *Pass) error {
 	for _, f := range pass.SourceFiles() {
-		checkLockCopies(pass, f)
 		ast.Inspect(f, func(n ast.Node) bool {
 			var body *ast.BlockStmt
 			switch fn := n.(type) {
@@ -317,105 +313,4 @@ func blockingCall(pass *Pass, call *ast.CallExpr) (string, bool) {
 		return "network call (http.Server." + name + ")", true
 	}
 	return "", false
-}
-
-// ---- lock copies ---------------------------------------------------------
-
-// checkLockCopies flags values of lock-containing types passed, returned,
-// assigned, or ranged by value.
-func checkLockCopies(pass *Pass, f *ast.File) {
-	ast.Inspect(f, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncDecl:
-			checkFieldListCopies(pass, n.Recv, "receiver")
-			if n.Type != nil {
-				checkFieldListCopies(pass, n.Type.Params, "parameter")
-				checkFieldListCopies(pass, n.Type.Results, "result")
-			}
-		case *ast.FuncLit:
-			checkFieldListCopies(pass, n.Type.Params, "parameter")
-			checkFieldListCopies(pass, n.Type.Results, "result")
-		case *ast.AssignStmt:
-			for _, r := range n.Rhs {
-				if copiesLockValue(pass, r) {
-					pass.Reportf(r.Pos(),
-						"assignment copies %s, which contains a sync lock; the copy and the original guard different critical sections — use a pointer",
-						describeType(pass.TypeOf(r)))
-				}
-			}
-		case *ast.RangeStmt:
-			if n.Value != nil {
-				if t := pass.TypeOf(n.Value); typeContainsLock(t, 0) {
-					pass.Reportf(n.Value.Pos(),
-						"range copies %s values, which contain a sync lock; range over indices or pointers instead",
-						describeType(t))
-				}
-			}
-		}
-		return true
-	})
-}
-
-func checkFieldListCopies(pass *Pass, fl *ast.FieldList, kind string) {
-	if fl == nil {
-		return
-	}
-	for _, field := range fl.List {
-		if _, isPtr := field.Type.(*ast.StarExpr); isPtr {
-			continue
-		}
-		if t := pass.TypeOf(field.Type); typeContainsLock(t, 0) {
-			pass.Reportf(field.Type.Pos(),
-				"%s passes %s by value, which contains a sync lock; pass a pointer", kind, describeType(t))
-		}
-	}
-}
-
-// copiesLockValue reports whether evaluating e yields a by-value copy of an
-// existing lock-containing value. Fresh values (composite literals,
-// function results — the latter flagged at the callee's signature) are
-// fine; copying an existing variable, field, element, or dereference is
-// the bug.
-func copiesLockValue(pass *Pass, e ast.Expr) bool {
-	switch e.(type) {
-	case *ast.CompositeLit, *ast.CallExpr, *ast.FuncLit, *ast.BasicLit:
-		return false
-	case *ast.UnaryExpr: // &x — a pointer, not a copy
-		return false
-	}
-	return typeContainsLock(pass.TypeOf(e), 0)
-}
-
-// typeContainsLock reports whether t transitively contains a sync
-// synchronization primitive whose copy semantics are broken.
-func typeContainsLock(t types.Type, depth int) bool {
-	if t == nil || depth > 8 {
-		return false
-	}
-	switch u := t.(type) {
-	case *types.Named:
-		if obj := u.Obj(); obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == "sync" {
-			switch obj.Name() {
-			case "Mutex", "RWMutex", "WaitGroup", "Once", "Cond", "Map", "Pool":
-				return true
-			}
-		}
-		return typeContainsLock(u.Underlying(), depth+1)
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if typeContainsLock(u.Field(i).Type(), depth+1) {
-				return true
-			}
-		}
-	case *types.Array:
-		return typeContainsLock(u.Elem(), depth+1)
-	}
-	return false
-}
-
-func describeType(t types.Type) string {
-	if t == nil {
-		return "a value"
-	}
-	return t.String()
 }

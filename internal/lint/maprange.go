@@ -22,7 +22,6 @@ import (
 // `//lint:sorted <reason>` annotation.
 var MapRange = &Analyzer{
 	Name:     "maprange",
-	Doc:      "flags order-sensitive iteration over maps in determinism-bearing packages",
 	Packages: outputBearing,
 	Run:      runMapRange,
 }

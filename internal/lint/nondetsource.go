@@ -19,7 +19,6 @@ import (
 // configuration rather than literals.
 var NonDetSource = &Analyzer{
 	Name:     "nondetsource",
-	Doc:      "forbids wall-clock, global math/rand, and env-dependent branching in determinism-bearing packages",
 	Packages: outputBearing,
 	Run:      runNonDetSource,
 }

@@ -24,7 +24,6 @@ import (
 // fixed seed is the point carry //lint:ignore seedplumb <reason>.
 var SeedPlumb = &Analyzer{
 	Name:     "seedplumb",
-	Doc:      "requires random-source and profile seeds to come from spec/config fields, not literals",
 	Packages: outputBearing,
 	Run:      runSeedPlumb,
 }

@@ -1,7 +1,7 @@
-// Package lockcheck exercises the mutex-discipline analyzer: locks copied
-// by value, blocking operations under a held mutex, exit paths that skip
-// Unlock, and the suppression machinery (justified directives silence a
-// finding; bare ones do not).
+// Package lockcheck exercises the mutex-discipline analyzer: blocking
+// operations under a held mutex, exit paths that skip Unlock, and the
+// suppression machinery (justified directives silence a finding; bare ones
+// do not).
 package lockcheck
 
 import (
@@ -13,34 +13,6 @@ import (
 type guarded struct {
 	mu sync.Mutex
 	n  int
-}
-
-// ---- lock copies ---------------------------------------------------------
-
-func byValueParam(g guarded) int { // want "parameter passes lockcheck.guarded by value, which contains a sync lock"
-	return g.n
-}
-
-func byValueAssign(g *guarded) {
-	cp := *g // want "assignment copies lockcheck.guarded, which contains a sync lock"
-	cp.n++
-}
-
-func byValueRange(gs []guarded) int {
-	n := 0
-	for _, g := range gs { // want "range copies lockcheck.guarded values, which contain a sync lock"
-		n += g.n
-	}
-	return n
-}
-
-func pointerParamOK(g *guarded) int {
-	return g.n
-}
-
-func freshValueOK() *guarded {
-	g := guarded{} // composite literal: a fresh lock, not a copy of a live one
-	return &g
 }
 
 // ---- blocking under a held lock ------------------------------------------

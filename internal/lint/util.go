@@ -77,30 +77,3 @@ func isContextType(t types.Type) bool {
 	obj := n.Obj()
 	return obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == "context" && obj.Name() == "Context"
 }
-
-// funcDisplayName renders a FuncDecl's name as the contract/annotation
-// tables spell it: "Name" for functions, "Recv.Name" for methods, with
-// pointers and type parameters stripped from the receiver.
-func funcDisplayName(fd *ast.FuncDecl) string {
-	name := fd.Name.Name
-	if fd.Recv == nil || len(fd.Recv.List) == 0 {
-		return name
-	}
-	return recvBaseName(fd.Recv.List[0].Type) + "." + name
-}
-
-func recvBaseName(e ast.Expr) string {
-	switch e := e.(type) {
-	case *ast.StarExpr:
-		return recvBaseName(e.X)
-	case *ast.IndexExpr:
-		return recvBaseName(e.X)
-	case *ast.IndexListExpr:
-		return recvBaseName(e.X)
-	case *ast.Ident:
-		return e.Name
-	case *ast.ParenExpr:
-		return recvBaseName(e.X)
-	}
-	return "?"
-}

@@ -850,7 +850,8 @@ func (a *Allocator) reallocateWRR() {
 // crossing counts its segment lengths, and the work array is byQueue[q]
 // itself, so a flow's work index is its position in its tier.
 //
-//alloc:free copies the tier's link index into the pooled fill arrays
+// Allocates nothing (TestReregisterAllocatesNothing): copies the tier's link
+// index into the pooled fill arrays.
 func (a *Allocator) fillTier(q int) {
 	touched := a.touched[:0]
 	for _, s := range a.tierSlots[q] {
@@ -883,7 +884,8 @@ func (a *Allocator) fillTier(q int) {
 // phase 1 capped sit in it frozen from the start. The crossing counts start
 // from linkRef minus the capped flows' crossings.
 //
-//alloc:free one pass over the registered flows into the pooled fill arrays
+// Allocates nothing (TestReregisterAllocatesNothing/wrr): one pass over the
+// registered flows into the pooled fill arrays.
 func (a *Allocator) fillSpill() {
 	for _, s := range a.used {
 		a.count[s] = a.linkRef[s]
@@ -937,7 +939,8 @@ func (a *Allocator) fillSpill() {
 // flow leave the touched list, and the flow leaves the live set. All
 // removals are O(1) swap-removes.
 //
-//alloc:free swap-removes over the compacted work/live/touched arrays
+// Allocates nothing (TestReregisterAllocatesNothing): swap-removes over the
+// compacted work/live/touched arrays.
 func (a *Allocator) freeze(j int32) {
 	f := a.work[j]
 	if a.uniform {
@@ -1037,7 +1040,8 @@ func (a *Allocator) minShare() float64 {
 //     only on the links the tier crosses, since on any other link the
 //     update subtracts a product from itself (see reallocateWRR).
 //
-//alloc:free the per-solve rounds run entirely over the pooled work arrays
+// Allocates nothing (TestReregisterAllocatesNothing): the per-solve rounds
+// run entirely over the pooled work arrays.
 func (a *Allocator) waterfill(uniform bool) {
 	a.stTierSolves++
 	a.uniform, a.level = uniform, 0

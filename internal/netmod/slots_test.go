@@ -176,25 +176,31 @@ func TestSlotRecycling(t *testing.T) {
 }
 
 // TestReregisterAllocatesNothing pins the steady state: once the arena holds
-// a run of a path's length, re-registering allocates nothing.
+// a run of a path's length, re-registering allocates nothing. It runs under
+// both modes, so the water-fill kernel (waterfill, fillTier, freeze) and
+// WRR's spill phase (fillSpill) are each held to 0 allocs/op.
 func TestReregisterAllocatesNothing(t *testing.T) {
 	tp, err := topo.NewFatTree(4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := newAlloc(t, tp, 4, ModeSPQ)
-	f := &FlowDemand{Path: tp.Path(0, 15, 3)}
-	g := &FlowDemand{Path: tp.Path(1, 14, 5)}
-	a.Register(g)
-	a.Register(f)
-	a.Reallocate()
-	allocs := testing.AllocsPerRun(100, func() {
-		a.Unregister(f)
-		a.Register(f)
-		a.Reallocate()
-	})
-	if allocs != 0 {
-		t.Fatalf("unregister/register/reallocate allocated %v times per run, want 0", allocs)
+	for _, mode := range []Mode{ModeSPQ, ModeWRR} {
+		t.Run(mode.String(), func(t *testing.T) {
+			a := newAlloc(t, tp, 4, mode)
+			f := &FlowDemand{Path: tp.Path(0, 15, 3)}
+			g := &FlowDemand{Path: tp.Path(1, 14, 5)}
+			a.Register(g)
+			a.Register(f)
+			a.Reallocate()
+			allocs := testing.AllocsPerRun(100, func() {
+				a.Unregister(f)
+				a.Register(f)
+				a.Reallocate()
+			})
+			if allocs != 0 {
+				t.Fatalf("unregister/register/reallocate allocated %v times per run, want 0", allocs)
+			}
+		})
 	}
 }
 

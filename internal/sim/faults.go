@@ -343,7 +343,8 @@ func (s *Simulator) readmit(st *stalledFlow, path []topo.LinkID) {
 
 // scheduleRetry arms the stalled flow's next routing attempt.
 func (s *Simulator) scheduleRetry(st *stalledFlow) {
-	backoff := retryBackoff0 * math.Pow(2, float64(st.attempts))
+	// retryBackoff0·2^attempts, scaled exactly on every platform.
+	backoff := math.Ldexp(retryBackoff0, st.attempts)
 	if backoff > retryBackoffMax {
 		backoff = retryBackoffMax
 	}

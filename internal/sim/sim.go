@@ -813,7 +813,8 @@ func (s *Simulator) emitInvariant() {
 
 // advanceTo moves the clock forward, draining bytes at current rates.
 //
-//alloc:free runs once per event on the steady-state path; pure arithmetic over live flows
+// Allocates nothing (TestSteadyStateEventAllocatesNothing): runs once per
+// event on the steady-state path; pure arithmetic over live flows.
 func (s *Simulator) advanceTo(t float64) {
 	dt := t - s.now
 	if dt < 0 {

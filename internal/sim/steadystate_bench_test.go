@@ -1,13 +1,14 @@
 package sim
 
-// BenchmarkSteadyStateEvent pins the engine's 0 allocs/op contract on the
-// steady-state event path: pop a tick, advance the clock across the active
-// set, fire, batch same-instant events, and reallocate. Nothing completes
-// and nothing arrives, so every structure involved — the event queue's slab
-// slots, the pooled tick/noop closures, the scheduler's dirty slice, the
-// allocator's scratch — must be recycled rather than reallocated. The
-// benchmark asserts via testing.AllocsPerRun before timing, so `go test
-// -bench SteadyStateEvent` fails outright if an allocation sneaks back in.
+// TestSteadyStateEventAllocatesNothing and BenchmarkSteadyStateEvent pin the
+// engine's 0 allocs/op contract on the steady-state event path: pop a tick,
+// advance the clock across the active set (advanceTo), fire, batch
+// same-instant events, and reallocate. Nothing completes and nothing
+// arrives, so every structure involved — the event queue's slab slots, the
+// pooled tick/noop closures, the scheduler's dirty slice, the allocator's
+// scratch — must be recycled rather than reallocated. The test holds the
+// contract under plain `go test`; the benchmark asserts the same before
+// timing.
 
 import (
 	"testing"
@@ -19,7 +20,7 @@ import (
 // steadyStateSim builds a simulator mid-run: flows admitted, rates
 // allocated, and only periodic ticks left on the queue. Flow sizes are
 // enormous so no completion fires during measurement.
-func steadyStateSim(b *testing.B) (*Simulator, func()) {
+func steadyStateSim(b testing.TB) (*Simulator, func()) {
 	b.Helper()
 	tp, err := topo.NewBigSwitch(8, 100)
 	if err != nil {
@@ -73,14 +74,26 @@ func steadyStateSim(b *testing.B) (*Simulator, func()) {
 	return s, step
 }
 
-func BenchmarkSteadyStateEvent(b *testing.B) {
-	s, step := steadyStateSim(b)
+// assertSteadyStateAllocFree runs step under testing.AllocsPerRun and checks
+// that the run stayed in steady state.
+func assertSteadyStateAllocFree(tb testing.TB, s *Simulator, step func()) {
+	tb.Helper()
 	if a := testing.AllocsPerRun(200, step); a != 0 {
-		b.Fatalf("steady-state event path allocates %v/op, want 0", a)
+		tb.Fatalf("steady-state event path allocates %v/op, want 0", a)
 	}
 	if len(s.active) != 4 {
-		b.Fatalf("active flows = %d, want 4 (completions would leave steady state)", len(s.active))
+		tb.Fatalf("active flows = %d, want 4 (completions would leave steady state)", len(s.active))
 	}
+}
+
+func TestSteadyStateEventAllocatesNothing(t *testing.T) {
+	s, step := steadyStateSim(t)
+	assertSteadyStateAllocFree(t, s, step)
+}
+
+func BenchmarkSteadyStateEvent(b *testing.B) {
+	s, step := steadyStateSim(b)
+	assertSteadyStateAllocFree(b, s, step)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

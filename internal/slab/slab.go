@@ -108,7 +108,8 @@ func (s *Slab[T]) Alloc() (Handle, *T) {
 // freed (or freed and recycled) — stale handles fail loudly and
 // deterministically rather than aliasing another object's state.
 //
-//alloc:free two compares and an index on the live path; the panic is outlined
+// Allocates nothing (TestZeroAllocSteadyState): two compares and an index on
+// the live path; the panic is outlined.
 func (s *Slab[T]) Get(h Handle) *T {
 	if h.gen == 0 || int(h.idx) >= len(s.gens) || s.gens[h.idx] != h.gen {
 		badHandle("stale or invalid handle", h)
@@ -119,7 +120,8 @@ func (s *Slab[T]) Get(h Handle) *T {
 // Live reports whether h still names a live occupancy (cheap, non-panicking
 // form of Get for debug assertions).
 //
-//alloc:free pure reads over the generation table
+// Allocates nothing (TestZeroAllocSteadyState): pure reads over the
+// generation table.
 func (s *Slab[T]) Live(h Handle) bool {
 	return h.gen != 0 && int(h.idx) < len(s.gens) && s.gens[h.idx] == h.gen
 }
@@ -129,7 +131,8 @@ func (s *Slab[T]) Live(h Handle) bool {
 // panics, Live reports false, Free panics. The object is zeroed so the
 // slab does not retain pointers held by the dead occupancy.
 //
-//alloc:free recycles through the free list; steady-state Free never grows it
+// Allocates nothing (TestZeroAllocSteadyState): recycles through the free
+// list; steady-state Free never grows it.
 func (s *Slab[T]) Free(h Handle) {
 	if h.gen == 0 || int(h.idx) >= len(s.gens) || s.gens[h.idx] != h.gen {
 		badHandle("double free or invalid handle", h)
@@ -143,8 +146,8 @@ func (s *Slab[T]) Free(h Handle) {
 
 // badHandle reports a dead or foreign handle. Outlined from Get and Free
 // (and pinned out of the inliner): formatting the message heap-allocates,
-// and the //alloc:free contract on those methods must hold for the live
-// path the simulator executes — a panicking run is already over.
+// and those methods must stay allocation-free on the live path the
+// simulator executes — a panicking run is already over.
 //
 //go:noinline
 func badHandle(msg string, h Handle) {

@@ -116,10 +116,11 @@ func TestZeroAllocSteadyState(t *testing.T) {
 		h, p := s.Alloc()
 		p.a = 1
 		s.Get(h)
+		s.Live(h)
 		s.Free(h)
 	})
 	if allocs != 0 {
-		t.Fatalf("steady-state Alloc/Get/Free allocates %v per op, want 0", allocs)
+		t.Fatalf("steady-state Alloc/Get/Live/Free allocates %v per op, want 0", allocs)
 	}
 }
 
