@@ -364,7 +364,7 @@ func (c *Calendar) resize(nb int) {
 	if nb < minBuckets {
 		nb = minBuckets
 	}
-	if nb == len(c.buckets) && c.n > 0 {
+	if nb == len(c.buckets) {
 		return
 	}
 	// Collect pending slots before clearing the buckets.

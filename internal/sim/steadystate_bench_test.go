@@ -1,14 +1,14 @@
 package sim
 
 // TestSteadyStateEventAllocatesNothing and BenchmarkSteadyStateEvent pin the
-// engine's 0 allocs/op contract on the steady-state event path: pop a tick,
-// advance the clock across the active set (advanceTo), fire, batch
-// same-instant events, and reallocate. Nothing completes and nothing
-// arrives, so every structure involved — the event queue's slab slots, the
-// pooled tick/noop closures, the scheduler's dirty slice, the allocator's
-// scratch — must be recycled rather than reallocated. The test holds the
-// contract under plain `go test`; the benchmark asserts the same before
-// timing.
+// engine's 0 allocs/op contract on the steady-state event path. Both drive
+// the Run loop's own body, Simulator.step: find the next instant (here a
+// tick), advance the clock across the active set (advanceTo), fire the
+// instant's events, and reallocate. Nothing completes and nothing arrives,
+// so every structure involved — the scheduler's dirty slice, the
+// allocator's scratch, the histograms — must be recycled rather than
+// reallocated. The test holds the contract under plain `go test`; the
+// benchmark asserts the same before timing.
 
 import (
 	"testing"
@@ -18,8 +18,9 @@ import (
 )
 
 // steadyStateSim builds a simulator mid-run: flows admitted, rates
-// allocated, and only periodic ticks left on the queue. Flow sizes are
-// enormous so no completion fires during measurement.
+// allocated, the event queue empty, and only the periodic tick and a far
+// completion wake-up pending. Flow sizes are enormous so no completion
+// fires during measurement.
 func steadyStateSim(b testing.TB) (*Simulator, func()) {
 	b.Helper()
 	tp, err := topo.NewBigSwitch(8, 100)
@@ -48,26 +49,13 @@ func steadyStateSim(b testing.TB) (*Simulator, func()) {
 	s.sched.Init(Env{Topo: s.cfg.Topology, Queues: s.cfg.Queues,
 		Now: func() float64 { return s.now }})
 
-	// One steady-state iteration of the Run loop body.
 	step := func() {
-		t, fire, ok := s.queue.Pop()
-		if !ok {
-			b.Fatal("queue drained; steady state requires a pending tick")
+		if ok, err := s.step(); !ok || err != nil {
+			b.Fatalf("step: ok=%v err=%v; steady state requires a pending tick", ok, err)
 		}
-		s.advanceTo(t)
-		fire()
-		for {
-			nt, ok := s.queue.PeekTime()
-			if !ok || nt > s.now {
-				break
-			}
-			_, f2, _ := s.queue.Pop()
-			f2()
-		}
-		s.reallocate()
 	}
 	// Warm up: fire the arrivals, allocate rates, and let every pool reach
-	// its high-water mark (event-queue slots, allocator scratch, histograms).
+	// its high-water mark (allocator scratch, histograms).
 	for i := 0; i < 64; i++ {
 		step()
 	}
