@@ -17,9 +17,10 @@
 //
 // Determinism: fault events are scheduled at construction time, before job
 // arrivals, so at equal timestamps the event queue's FIFO tie-break fires
-// faults first — before arrivals and before any completion or tick event
-// (those are scheduled during the run and always carry higher sequence
-// numbers). Reroute and stall sweeps walk the active set in slice order.
+// faults first — before arrivals and before every event scheduled during
+// the run; the completion wake-up and the tick, which are not queue
+// entries, come after every queue event at their instant. Reroute and
+// stall sweeps walk the active set in slice order.
 // Replaying the same schedule therefore reproduces the same trajectory
 // byte for byte.
 
