@@ -148,7 +148,6 @@ func QuickScale() Scale {
 		BurstyJobs:     120,
 		BurstyFatTreeK: 8,
 		BurstSize:      20,
-		//lint:ignore seedplumb named preset: the quick-scale seed is part of the published configuration, and trials re-seed via withSeed
 		Seed:           1,
 		MaxSenders:     6,
 		MaxReducers:    3,
@@ -169,7 +168,6 @@ func PaperScale() Scale {
 		BurstyJobs:     10000,
 		BurstyFatTreeK: 48,
 		BurstSize:      100,
-		//lint:ignore seedplumb named preset: the paper-scale seed is part of the published configuration, and trials re-seed via withSeed
 		Seed:           1,
 		MaxSenders:     16,
 		MaxReducers:    8,

@@ -7,7 +7,10 @@ package gurita_test
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -97,7 +100,19 @@ func TestFailureSweepTiny(t *testing.T) {
 	if !strings.Contains(ft.String(), "link-failure rate") {
 		t.Fatalf("table missing axis label:\n%s", ft)
 	}
+	// The digest pins the table and every mean at full precision, so a trial
+	// or fault seed that stops following the scale's seed moves it.
+	h := sha256.New()
+	fmt.Fprintf(h, "%s%v\n%v\n", ft, raw[0], raw[2])
+	if got, want := hex.EncodeToString(h.Sum(nil)), failureSweepTinyDigest; got != want {
+		t.Fatalf("failure sweep digest %s, want %s:\n%s%v\n%v", got, want, ft, raw[0], raw[2])
+	}
 }
+
+// failureSweepTinyDigest is the SHA-256 of ExperimentFailureSweep(tinyScale(),
+// 0, 2)'s rendered table followed by its per-rate means (fmt prints a map in
+// key order).
+const failureSweepTinyDigest = "5760f65f6ccaecdc9d9bb0e79dcdb779f8fd9d29c73f34995215cb7f103e2f07"
 
 func TestFailureSweepReplayable(t *testing.T) {
 	if testing.Short() {

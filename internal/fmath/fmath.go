@@ -1,22 +1,13 @@
-// Package fmath holds the approved floating-point comparison helpers for
-// rate/time quantities. Exact ==/!= on computed floats is forbidden in the
-// determinism-bearing packages (guritalint's floatcmp analyzer): two
-// computations of "the same" rate can differ in the last bit depending on
-// summation order, so exact comparison is how delta and batch allocation
-// silently drift apart. Callers pick the epsilon that matches their
+// Package fmath holds the tolerant floating-point comparisons for
+// rate/time quantities. Callers pick the epsilon that matches their
 // quantity's scale (e.g. netmod's epsRate for bytes/second).
 //
-// Deliberate bitwise comparison — change detection on caller-set fields,
-// the delta≡batch identity check itself — stays as ==/!= with a
-// //lint:ignore floatcmp justification; see DESIGN.md §11.
+// An exact ==/!= on floats stays as written where bitwise identity is the
+// intent (change detection on caller-set fields, the delta≡batch check
+// itself). Whether a comparison is tolerant or exact is checked by the
+// bytes it produces: the netmod kernel reference, the policy goldens and
+// the event-order digests (DESIGN.md §11).
 package fmath
-
-import "math"
-
-// AlmostEqual reports whether a and b differ by at most eps.
-func AlmostEqual(a, b, eps float64) bool {
-	return math.Abs(a-b) <= eps
-}
 
 // AtLeast reports whether a reaches b within tolerance eps, i.e. a >= b-eps.
 // It is the tolerant form of ">=" used for saturation and completion
@@ -24,9 +15,4 @@ func AlmostEqual(a, b, eps float64) bool {
 // having reached it.
 func AtLeast(a, b, eps float64) bool {
 	return a >= b-eps
-}
-
-// AlmostZero reports whether v lies within eps of zero.
-func AlmostZero(v, eps float64) bool {
-	return math.Abs(v) <= eps
 }

@@ -2,24 +2,6 @@ package fmath
 
 import "testing"
 
-func TestAlmostEqual(t *testing.T) {
-	cases := []struct {
-		a, b, eps float64
-		want      bool
-	}{
-		{1, 1, 0, true},
-		{1, 1 + 1e-9, 1e-6, true},
-		{1, 1 + 1e-3, 1e-6, false},
-		{-5, -5 - 1e-9, 1e-6, true},
-		{0, 1e-7, 1e-6, true},
-	}
-	for _, c := range cases {
-		if got := AlmostEqual(c.a, c.b, c.eps); got != c.want {
-			t.Errorf("AlmostEqual(%v, %v, %v) = %v, want %v", c.a, c.b, c.eps, got, c.want)
-		}
-	}
-}
-
 func TestAtLeast(t *testing.T) {
 	cases := []struct {
 		a, b, eps float64
@@ -34,11 +16,5 @@ func TestAtLeast(t *testing.T) {
 		if got := AtLeast(c.a, c.b, c.eps); got != c.want {
 			t.Errorf("AtLeast(%v, %v, %v) = %v, want %v", c.a, c.b, c.eps, got, c.want)
 		}
-	}
-}
-
-func TestAlmostZero(t *testing.T) {
-	if !AlmostZero(1e-9, 1e-6) || AlmostZero(1e-3, 1e-6) || !AlmostZero(0, 0) {
-		t.Error("AlmostZero thresholds wrong")
 	}
 }

@@ -14,7 +14,7 @@ func f() {
 	_ = 1
 	//lint:sorted
 	_ = 2
-	//lint:ignore floatcmp,seedplumb bitwise intent
+	//lint:ignore ctxflow,durability bounded intent
 	_ = 3
 	_ = 4 //lint:ignore nondetsource trailing form
 }
@@ -41,7 +41,7 @@ func TestParseDirectives(t *testing.T) {
 	if all[1].Verb != "sorted" || all[1].Reason != "" {
 		t.Errorf("bare sorted parsed wrong: %+v", all[1])
 	}
-	if len(all[2].Analyzers) != 2 || all[2].Analyzers[1] != "seedplumb" || all[2].Reason != "bitwise intent" {
+	if len(all[2].Analyzers) != 2 || all[2].Analyzers[1] != "durability" || all[2].Reason != "bounded intent" {
 		t.Errorf("multi-analyzer ignore parsed wrong: %+v", all[2])
 	}
 	if all[3].Analyzers[0] != "nondetsource" || all[3].Reason != "trailing form" {
@@ -61,7 +61,7 @@ func TestSuppresses(t *testing.T) {
 	if d.Suppresses("maprange", at(6)) {
 		t.Error("directive must not reach two lines down")
 	}
-	if d.Suppresses("floatcmp", at(5)) {
+	if d.Suppresses("ctxflow", at(5)) {
 		t.Error("sorted directive must only suppress maprange")
 	}
 	// Bare //lint:sorted on line 6 suppresses nothing.
@@ -69,7 +69,7 @@ func TestSuppresses(t *testing.T) {
 		t.Error("unjustified directive must not suppress")
 	}
 	// Multi-analyzer ignore on line 8 covers both names on lines 8-9.
-	if !d.Suppresses("floatcmp", at(9)) || !d.Suppresses("seedplumb", at(9)) {
+	if !d.Suppresses("ctxflow", at(9)) || !d.Suppresses("durability", at(9)) {
 		t.Error("multi-analyzer ignore should suppress both named analyzers")
 	}
 	if d.Suppresses("maprange", at(9)) {
@@ -80,7 +80,7 @@ func TestSuppresses(t *testing.T) {
 		t.Error("trailing directive should cover its own line")
 	}
 	// Wrong file never matches.
-	if d.Suppresses("floatcmp", token.Position{Filename: "q.go", Line: 9}) {
+	if d.Suppresses("ctxflow", token.Position{Filename: "q.go", Line: 9}) {
 		t.Error("directives are per-file")
 	}
 }

@@ -14,9 +14,10 @@ import (
 // spec — that is what makes results replayable and cache keys meaningful.
 //
 // The constructor funcs that *build* a plumbed generator (rand.New,
-// rand.NewSource, rand.NewZipf, and the v2 equivalents) are allowed here;
-// seedplumb separately checks that the seeds they receive come from
-// configuration rather than literals.
+// rand.NewSource, rand.NewZipf, and the v2 equivalents) are allowed here.
+// Whether the seed they receive comes from the spec is checked at run
+// time: a literal seed moves the policy goldens, the event-order digests or
+// the failure-sweep digest (DESIGN.md §11).
 var NonDetSource = &Analyzer{
 	Name:     "nondetsource",
 	Packages: outputBearing,

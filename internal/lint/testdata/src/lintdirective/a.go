@@ -21,7 +21,7 @@ func bareIgnore() int {
 }
 
 func missingReason() int {
-	//lint:ignore floatcmp
+	//lint:ignore durability
 	// want:-1 "lint:ignore requires analyzers and a justification"
 	return 2
 }
@@ -48,6 +48,6 @@ func justifiedSorted(m map[string]float64) float64 {
 }
 
 func justifiedIgnore(a, b float64) bool {
-	//lint:ignore floatcmp,maprange fixture: multiple analyzers with a reason
+	//lint:ignore nondetsource,maprange fixture: multiple analyzers with a reason
 	return a == b
 }

@@ -27,8 +27,8 @@ func globalShuffle(xs []int) {
 	})
 }
 
-// Constructing a plumbed generator is allowed (seedplumb separately checks
-// where the seed comes from), and methods on it are allowed.
+// Constructing a plumbed generator is allowed, and methods on it are
+// allowed.
 func plumbed(seed int64) float64 {
 	r := rand.New(rand.NewSource(seed))
 	return r.Float64()

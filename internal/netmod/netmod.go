@@ -480,7 +480,8 @@ func (a *Allocator) Update(f *FlowDemand) {
 		return
 	}
 	if f.tier < 0 {
-		//lint:ignore floatcmp change detection on a caller-set field: bitwise compare is intended; an epsilon would silently drop small real updates
+		// Bitwise change detection on a caller-set field: an epsilon would
+		// silently drop small real updates.
 		if f.MaxRate != f.capSeen {
 			f.capSeen = f.MaxRate
 			f.Rate = f.MaxRate
@@ -505,7 +506,7 @@ func (a *Allocator) Update(f *FlowDemand) {
 			a.dirtyMin = t
 		}
 	}
-	//lint:ignore floatcmp change detection on a caller-set field: bitwise compare is intended; an epsilon would silently drop small real updates
+	// Bitwise change detection, as above.
 	if f.MaxRate != f.capSeen {
 		f.capSeen = f.MaxRate
 		if f.tier < a.dirtyMin {

@@ -83,7 +83,8 @@ func bucketOf(v float64) int {
 		return histBuckets
 	}
 	frac, exp := math.Frexp(v)
-	//lint:ignore floatcmp Frexp returns exactly 0.5 for a power of two, the one case that sits on a bound
+	// Frexp returns exactly 0.5 for a power of two, the one case that sits
+	// on a bound.
 	if frac == 0.5 {
 		exp--
 	}

@@ -91,7 +91,6 @@ func WriteChromeTrace(w io.Writer, procs ...TraceProcess) error {
 			}
 			return a.Name < b.Name
 		}
-		//lint:ignore floatcmp bitwise tie-break for a deterministic sort order; no arithmetic feeds these timestamps between comparisons
 		if a.TS != b.TS {
 			return a.TS < b.TS
 		}

@@ -7,16 +7,14 @@ import (
 	"time"
 )
 
-// DefaultTakeoverStall is the follower-takeover deadline used when
-// Flight.TakeoverStall is zero: how long a duplicate caller waits on an
-// in-flight leader before presuming the leader's process dead and
-// re-executing independently. One minute comfortably exceeds any healthy
-// trial's flight bookkeeping latency (the wait covers the leader's whole
-// execution, so it must dwarf a trial, not a syscall) while bounding the
-// damage of a leader that vanished without signaling — a SIGKILLed worker
-// in a multi-process campaign, where the in-process done channel will
-// simply never close.
-const DefaultTakeoverStall = time.Minute
+// defaultTakeoverStall is the follower-takeover deadline used when
+// Flight.takeoverStall is zero: how long a duplicate caller waits on an
+// in-flight leader before re-executing independently. A Flight lives in
+// one process, so a leader never dies without its followers (a SIGKILL ends
+// both); the deadline guards against a leader whose trial wedged, such as a
+// daemon trial that neither finishes nor observes its cancelled context.
+// The wait covers the leader's whole execution, so it must dwarf a trial.
+const defaultTakeoverStall = time.Minute
 
 // ErrFlightStalled is returned to a follower whose leader exceeded the
 // takeover deadline without completing. The runner reacts by re-checking
@@ -39,12 +37,10 @@ var ErrFlightStalled = errors.New("runner: flight leader stalled past takeover d
 //
 // The zero value is ready to use.
 type Flight struct {
-	// TakeoverStall bounds how long a follower waits for its leader before
-	// giving up with ErrFlightStalled and executing independently. Zero
-	// selects DefaultTakeoverStall; negative disables the deadline (trust
-	// the leader unconditionally — correct only when every sharer lives in
-	// this process and leaders cannot die silently).
-	TakeoverStall time.Duration
+	// takeoverStall bounds how long a follower waits for its leader before
+	// giving up with ErrFlightStalled and executing independently; zero
+	// selects defaultTakeoverStall.
+	takeoverStall time.Duration
 
 	mu    sync.Mutex
 	calls map[string]*flightCall
@@ -74,17 +70,9 @@ func (f *Flight) do(ctx context.Context, key string, fn func() (any, int, error)
 	}
 	if c, ok := f.calls[key]; ok {
 		f.mu.Unlock()
-		stall := f.TakeoverStall
+		stall := f.takeoverStall
 		if stall == 0 {
-			stall = DefaultTakeoverStall
-		}
-		if stall < 0 {
-			select {
-			case <-c.done:
-				return c.val, c.attempts, true, c.err
-			case <-ctx.Done():
-				return nil, 0, true, context.Cause(ctx)
-			}
+			stall = defaultTakeoverStall
 		}
 		t := time.NewTimer(stall)
 		defer t.Stop()

@@ -326,16 +326,15 @@ func TestLeasedDrainReleasesLeases(t *testing.T) {
 }
 
 // TestFlightFollowerStallDeadline is the regression test for the follower
-// hang: a leader that never signals (its process died, or — as here — it
-// wedged after its context was canceled) must not block followers forever.
+// hang: a leader that never signals (its trial wedged after its context was
+// canceled) must not block followers forever.
 // The follower gets ErrFlightStalled at the flight layer, and the runner
 // recovers by executing independently.
 func TestFlightFollowerStallDeadline(t *testing.T) {
-	flight := &Flight{TakeoverStall: 100 * time.Millisecond}
+	flight := &Flight{takeoverStall: 100 * time.Millisecond}
 
 	// The leader enters the flight and wedges: its own context is canceled
-	// (the canceled-owner shape from the issue) but it never returns —
-	// in-process stand-in for a SIGKILLed owner that can never close done.
+	// but it never returns, so it can never close done.
 	leaderIn := make(chan struct{})
 	wedge := make(chan struct{})
 	leaderCtx, cancelLeader := context.WithCancel(context.Background())

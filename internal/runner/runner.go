@@ -327,9 +327,10 @@ func Run[S, R any](ctx context.Context, specs []S, exec func(ctx context.Context
 		elapsed := time.Since(start)
 		var eta time.Duration
 		if stats.Executed > 0 {
+			// elapsed/Executed is the pace with every worker busy, so it
+			// already accounts for the parallelism.
 			perTrial := elapsed / time.Duration(stats.Executed)
-			remaining := len(specs) - done
-			eta = perTrial * time.Duration(remaining) / time.Duration(opts.workers())
+			eta = perTrial * time.Duration(len(specs)-done)
 		}
 		opts.Progress(Progress{
 			Done:      done,

@@ -254,6 +254,35 @@ func TestRunProgress(t *testing.T) {
 	}
 }
 
+// TestRunProgressETA: the observed pace elapsed/Executed already reflects
+// the workers running side by side, so halfway through a grid of equal
+// trials the ETA is about the time spent so far, not that time divided by
+// the worker count.
+func TestRunProgressETA(t *testing.T) {
+	var half Progress
+	exec := func(ctx context.Context, s trial) (outcome, error) {
+		time.Sleep(20 * time.Millisecond)
+		return run(s), nil
+	}
+	_, _, err := Run(context.Background(), grid(16), exec, Options{
+		Workers: 4,
+		Progress: func(p Progress) {
+			if p.Done == 8 {
+				half = p
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if half.Done != 8 {
+		t.Fatal("no progress snapshot at 8 of 16 trials")
+	}
+	if half.ETA < half.Elapsed/2 {
+		t.Fatalf("ETA %v at 8/16 trials after %v, want at least %v", half.ETA, half.Elapsed, half.Elapsed/2)
+	}
+}
+
 func TestRunEmptyGrid(t *testing.T) {
 	results, stats, err := Run(context.Background(), nil,
 		func(ctx context.Context, s trial) (outcome, error) { return run(s), nil },

@@ -181,7 +181,8 @@ func (s *Simulator) effCapacity(l topo.LinkID) float64 {
 // the same fabric for VerifyIncremental to stay meaningful).
 func (s *Simulator) refreshLinkCapacity(l topo.LinkID) {
 	eff := s.effCapacity(l)
-	//lint:ignore floatcmp override bookkeeping: with no degradation in force effCapacity returns the nominal capacity bit-for-bit, and only that exact case may clear the override
+	// With no degradation in force effCapacity returns the nominal capacity
+	// bit-for-bit, and only that exact case may clear the override.
 	if eff == s.cfg.Topology.LinkCapacity(l) {
 		s.alloc.ClearLinkCapacity(l)
 		if s.verify != nil {

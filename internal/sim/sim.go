@@ -1187,7 +1187,8 @@ func (s *Simulator) reallocate() {
 			} else {
 				cap = s.cfg.MaxFlowRate
 			}
-			//lint:ignore floatcmp change detection: the cap is recomputed from the same inputs each tick, so bitwise inequality is exactly "the cap moved"
+			// The cap is recomputed from the same inputs each tick, so bitwise
+			// inequality is exactly "the cap moved".
 			if f.Demand.MaxRate != cap {
 				f.Demand.MaxRate = cap
 				s.alloc.Update(&f.Demand)
@@ -1308,7 +1309,8 @@ func (s *Simulator) checkAgainstBatch() {
 	}
 	s.verify.Allocate(s.verifyPtrs)
 	for i, f := range s.active {
-		//lint:ignore floatcmp the delta≡batch contract IS bitwise identity; an epsilon here would hide exactly the drift this check exists to catch
+		// The delta≡batch contract is bitwise identity; an epsilon here would
+		// hide exactly the drift this check exists to catch.
 		if f.Demand.Rate != s.verifyBuf[i].Rate {
 			s.verifyErr = fmt.Errorf(
 				"sim: incremental allocation diverged from batch at t=%v: flow %d (queue %d) rate %v, batch %v",

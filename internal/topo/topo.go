@@ -339,7 +339,8 @@ func (t *Topology) RackOf(s ServerID) int {
 func (t *Topology) String() string {
 	switch t.kind {
 	case KindFatTree:
-		//lint:ignore floatcmp both are configured constructor inputs, never computed; bitwise compare detects "oversubscription configured at all"
+		// Both are constructor inputs, never computed, so bitwise inequality
+		// means "oversubscription configured at all".
 		if t.fabricCapacity != t.capacity {
 			return fmt.Sprintf("fattree(k=%d, %d servers, %d switches, %.2g:1 oversubscribed)",
 				t.k, t.servers, t.switches, t.capacity/t.fabricCapacity)
