@@ -77,8 +77,10 @@ type FlowDemand struct {
 	// Delta-engine bookkeeping (valid while registered).
 	registered bool
 	slotOff    int32   // start of the flow's run in Allocator.slotArena
-	tier       int     // clamped Queue; -1 for host-local flows
-	tierIdx    int     // index into Allocator.byQueue[tier] (or local)
+	tier       int32   // clamped Queue; -1 for host-local flows
+	tierIdx    int32   // index into Allocator.byQueue[tier] (or local)
+	lead       int32   // first lead slot of its private groups, or -1 (see Allocator.nextLead)
+	privIdx    int32   // index into Allocator.privFlows[tier] while lead >= 0
 	capSeen    float64 // MaxRate at the last Register/Update
 }
 
@@ -143,10 +145,29 @@ type Allocator struct {
 	// crossing count passes its peak.
 	cross  [][]int32
 	segEnd []int32
-	// tierSlots[q] lists the slots tier q's flows cross; tierSlotPos[q][s]
-	// is slot s's position in it (valid while crossed).
+	// A slot is private while exactly one registered crossing uses it
+	// (linkRef == 1) and shared from two on. A fill treats a private link
+	// as a constraint of its flow (see waterfill), so only shared slots are
+	// listed: shared holds them all, sharedIdx[s] is slot s's position in
+	// it (-1 while private), and tierSlots[q] lists the shared slots tier
+	// q's flows cross, tierSlotPos[q][s] being slot s's position in it. A
+	// private slot's count is negative (privateCount, or a group's class;
+	// see leadCount), and no fill's set-up of shared counts overwrites it.
+	shared      []int32
+	sharedIdx   []int32
 	tierSlots   [][]int32
 	tierSlotPos [][]int32
+	// A flow's private links fall into groups by capacity bits, since links
+	// that start a fill alike stay alike. Each group is kept at one of its
+	// slots, its lead: f.lead is the flow's first lead and nextLead[l] the
+	// one after lead l (-1 ends the chain). A lead's residual is the one
+	// its group's links held when the flow froze in the last fill, and in a
+	// fill its count names the group's class (leadCount). A registry
+	// change rebuilds the flow's chain (regroup); nothing in it outlives a
+	// solve. privFlows[q] lists the byQueue positions of tier q's flows
+	// that have a group, so flows without one never reach class code.
+	nextLead  []int32
+	privFlows [][]int32
 
 	// tierRes[q][s] snapshots the residual capacity of slot s at the start
 	// of tier q's SPQ water-fill during the last solve. Restoring tierRes[q]
@@ -154,6 +175,8 @@ type Allocator struct {
 	// to tier q, which is what makes the partial re-solve bit-exact. No
 	// solve writes tierRes[0] — only acquireSlot and capacityChanged do — so
 	// it is also the per-slot capacity cache, the one snapshot WRR keeps.
+	// The snapshots span private slots too: each SPQ tier fill leaves them
+	// their groups' final residuals (keepPrivate).
 	tierRes [][]float64
 	// dirtyMin is the lowest tier touched by a delta since the last
 	// Reallocate; == queues when no delta is pending.
@@ -182,6 +205,29 @@ type Allocator struct {
 	uniform bool
 	level   float64
 	rate    []float64
+	// The fill's classes of private groups, one per distinct starting
+	// residual (see waterfill). Class c's links hold residual clsRes[c] and
+	// clsLive[c] counts its groups whose flow is live. Its members' work
+	// indices form a list from clsHead[c] through memJ (the member) and
+	// memNext (the next entry, -1 at the end). clsAct lists the classes
+	// with a live group, clsPos[c] being class c's position in it, and
+	// clsSat the classes that saturated in the current round.
+	clsRes  []float64
+	clsLive []int32
+	clsPos  []int32
+	clsHead []int32
+	memJ    []int32
+	memNext []int32
+	clsAct  []int32
+	clsSat  []int32
+	// clsTab maps a starting residual's bits to its class: an open-
+	// addressing table whose entries count only while their gen is clsGen,
+	// so opening a fill's classes clears it by bumping clsGen. lastKey and
+	// lastCls cache the latest lookup, which most private groups hit.
+	clsTab  []classEntry
+	clsGen  uint32
+	lastKey uint64
+	lastCls int32
 
 	// Cumulative work counters (see Stats). Plain increments on paths that
 	// already do real work, so they cost nothing measurable and — being
@@ -189,6 +235,14 @@ type Allocator struct {
 	stReallocs   int64
 	stTierSolves int64
 	stWFRounds   int64
+}
+
+// classEntry is one clsTab entry: the class of starting residual bits key,
+// valid while gen is the allocator's clsGen.
+type classEntry struct {
+	key uint64
+	gen uint32
+	cls int32
 }
 
 // Stats are cumulative allocator work counters since construction: how many
@@ -241,6 +295,7 @@ func NewAllocator(t *topo.Topology, queues int, mode Mode, opts ...Option) (*All
 		byQueue:     make([][]*FlowDemand, queues),
 		tierSlots:   make([][]int32, queues),
 		tierSlotPos: make([][]int32, queues),
+		privFlows:   make([][]int32, queues),
 		workBase:    make([]int32, queues),
 		tierRes:     make([][]float64, queues),
 		dirtyMin:    queues,
@@ -269,6 +324,15 @@ func (a *Allocator) Queues() int { return a.queues }
 
 // Mode returns the configured allocation mode.
 func (a *Allocator) Mode() Mode { return a.mode }
+
+// privateCount is the count of a private slot: negative, so no fill takes
+// it for a crossing count.
+const privateCount = -1
+
+// leadCount is the count of a group's lead during a fill in which the
+// group is in class c: below privateCount, so freeze knows the lead by the
+// count it loads for every hop. leadCount is its own inverse.
+func leadCount(c int32) int32 { return -2 - c }
 
 // rate tolerance: completions and saturation use this epsilon, scaled to
 // typical 10G capacities.
@@ -321,10 +385,15 @@ func (a *Allocator) ClearLinkCapacity(l topo.LinkID) {
 // the next Reallocate re-solves from tier 0 — exactly the arithmetic a
 // from-scratch solve with the new capacity performs. An unused link has no
 // slot and nothing to refresh: Register seeds a new slot from linkCap.
+// A private slot also moves between its holder's groups.
 func (a *Allocator) capacityChanged(l topo.LinkID) {
 	if s := a.slotOf[l]; s >= 0 {
 		a.tierRes[0][s] = a.linkCap(l)
 		a.dirtyMin = 0
+		if a.linkRef[s] == 1 {
+			g, _ := a.holder(s)
+			a.regroup(g)
+		}
 	}
 }
 
@@ -348,6 +417,7 @@ func (a *Allocator) acquireSlot(l topo.LinkID) int32 {
 	a.slotOf[l] = s
 	a.usedIdx[s] = int32(len(a.used))
 	a.used = append(a.used, s)
+	a.sharedIdx[s] = -1
 	c := a.linkCap(l)
 	for q := range a.tierRes {
 		a.tierRes[q][s] = c
@@ -361,6 +431,8 @@ func (a *Allocator) growSlots() {
 	a.count = append(a.count, 0)
 	a.usedIdx = append(a.usedIdx, 0)
 	a.linkRef = append(a.linkRef, 0)
+	a.sharedIdx = append(a.sharedIdx, 0)
+	a.nextLead = append(a.nextLead, 0)
 	a.touchedIdx = append(a.touchedIdx, 0)
 	a.cross = append(a.cross, nil)
 	if a.mode == ModeWRR {
@@ -376,7 +448,11 @@ func (a *Allocator) growSlots() {
 }
 
 // releaseSlot returns slot s, whose link just lost its last registered flow.
+// The slot is still listed as shared when that flow crossed it twice.
 func (a *Allocator) releaseSlot(s int32) {
+	if a.sharedIdx[s] >= 0 {
+		a.unlistShared(s)
+	}
 	i := a.usedIdx[s]
 	last := len(a.used) - 1
 	moved := a.used[last]
@@ -405,6 +481,7 @@ func (a *Allocator) clampQueue(q int) int {
 func (a *Allocator) Register(f *FlowDemand) {
 	if !f.registered && a.register(f) {
 		a.addCrossings(f)
+		a.indexPrivate(f)
 	}
 }
 
@@ -417,7 +494,7 @@ func (a *Allocator) register(f *FlowDemand) bool {
 	if len(f.Path) == 0 {
 		// Host-local transfer: the fabric does not constrain it.
 		f.tier = -1
-		f.tierIdx = len(a.local)
+		f.tierIdx = int32(len(a.local))
 		a.local = append(a.local, f)
 		f.Rate = f.MaxRate
 		if f.Rate == 0 {
@@ -426,9 +503,10 @@ func (a *Allocator) register(f *FlowDemand) bool {
 		return false
 	}
 	f.Rate = 0
+	f.lead = -1
 	t := a.clampQueue(f.Queue)
-	f.tier = t
-	f.tierIdx = len(a.byQueue[t])
+	f.tier = int32(t)
+	f.tierIdx = int32(len(a.byQueue[t]))
 	a.byQueue[t] = append(a.byQueue[t], f)
 	f.slotOff = a.takeRun(len(f.Path))
 	run := a.slots(f)
@@ -458,16 +536,24 @@ func (a *Allocator) Unregister(f *FlowDemand) {
 		return
 	}
 	a.removeCrossings(f)
+	if f.lead >= 0 {
+		a.removePrivFlow(f)
+	}
 	a.removeFromTier(f)
 	for _, s := range a.slots(f) {
 		a.linkRef[s]--
-		if a.linkRef[s] == 0 {
+		switch {
+		case a.linkRef[s] == 0:
 			a.releaseSlot(s)
+		case len(a.cross[s]) == 1 && a.sharedIdx[s] >= 0:
+			// One crossing is left once f's are gone (removeCrossings),
+			// whatever f's other hops on s still hold in linkRef.
+			a.unshare(s)
 		}
 	}
 	a.putRun(f.slotOff, len(f.Path))
-	if f.tier < a.dirtyMin {
-		a.dirtyMin = f.tier
+	if t := int(f.tier); t < a.dirtyMin {
+		a.dirtyMin = t
 	}
 }
 
@@ -491,14 +577,20 @@ func (a *Allocator) Update(f *FlowDemand) {
 		}
 		return
 	}
-	if t := a.clampQueue(f.Queue); t != f.tier {
-		old := f.tier
+	if t := a.clampQueue(f.Queue); t != int(f.tier) {
+		old := int(f.tier)
 		a.removeCrossings(f)
+		if f.lead >= 0 {
+			a.removePrivFlow(f)
+		}
 		a.removeFromTier(f)
-		f.tier = t
-		f.tierIdx = len(a.byQueue[t])
+		f.tier = int32(t)
+		f.tierIdx = int32(len(a.byQueue[t]))
 		a.byQueue[t] = append(a.byQueue[t], f)
 		a.addCrossings(f)
+		if f.lead >= 0 {
+			a.addPrivFlow(f)
+		}
 		if old < a.dirtyMin {
 			a.dirtyMin = old
 		}
@@ -509,8 +601,8 @@ func (a *Allocator) Update(f *FlowDemand) {
 	// Bitwise change detection, as above.
 	if f.MaxRate != f.capSeen {
 		f.capSeen = f.MaxRate
-		if f.tier < a.dirtyMin {
-			a.dirtyMin = f.tier
+		if t := int(f.tier); t < a.dirtyMin {
+			a.dirtyMin = t
 		}
 	}
 }
@@ -545,8 +637,8 @@ func (a *Allocator) slots(f *FlowDemand) []int32 {
 
 // removeFromTier swap-removes a fabric flow from its tier registry. The
 // flow that takes its place keeps its crossings but changes position, so
-// its entries in the crossing lists are re-pointed; f's own entries must
-// already be gone (removeCrossings).
+// its entries in the crossing lists and in privFlows are re-pointed; f's
+// own entries must already be gone (removeCrossings, removePrivFlow).
 func (a *Allocator) removeFromTier(f *FlowDemand) {
 	fl := a.byQueue[f.tier]
 	last := len(fl) - 1
@@ -557,9 +649,155 @@ func (a *Allocator) removeFromTier(f *FlowDemand) {
 	a.byQueue[f.tier] = fl[:last]
 	if moved != f {
 		for i, s := range a.slots(moved) {
-			a.cross[s][a.hopPos[int(moved.slotOff)+i]] = int32(moved.tierIdx)
+			a.cross[s][a.hopPos[int(moved.slotOff)+i]] = moved.tierIdx
+		}
+		if moved.lead >= 0 {
+			a.privFlows[f.tier][moved.privIdx] = moved.tierIdx
 		}
 	}
+}
+
+// regroup rebuilds fabric flow f's chain of private groups from its hops:
+// each hop on a private slot joins the group of its capacity, and the
+// first hop of a capacity leads the group. It keeps f listed in privFlows
+// exactly while f has a group.
+func (a *Allocator) regroup(f *FlowDemand) {
+	had := f.lead >= 0
+	f.lead = -1
+	var last int32 = -1
+	for _, s := range a.slots(f) {
+		if a.linkRef[s] != 1 {
+			continue
+		}
+		a.count[s] = privateCount
+		if a.leadOf(f, s) >= 0 {
+			continue
+		}
+		a.nextLead[s] = -1
+		if last < 0 {
+			f.lead = s
+		} else {
+			a.nextLead[last] = s
+		}
+		last = s
+	}
+	switch has := f.lead >= 0; {
+	case has && !had:
+		a.addPrivFlow(f)
+	case had && !has:
+		a.removePrivFlow(f)
+	}
+}
+
+// leadOf returns the lead of fabric flow f's group of slot s's capacity,
+// or -1 when f has no such group.
+func (a *Allocator) leadOf(f *FlowDemand, s int32) int32 {
+	c := math.Float64bits(a.tierRes[0][s])
+	l := f.lead
+	for l >= 0 && math.Float64bits(a.tierRes[0][l]) != c {
+		l = a.nextLead[l]
+	}
+	return l
+}
+
+// holder returns the flow that holds private slot s and its tier.
+func (a *Allocator) holder(s int32) (*FlowDemand, int) {
+	e := a.segEnd[int(s)*a.queues : int(s+1)*a.queues]
+	u := 0
+	for e[u] == 0 {
+		u++
+	}
+	return a.byQueue[u][a.cross[s][0]], u
+}
+
+// addPrivFlow lists fabric flow f, which has a private group, in privFlows.
+func (a *Allocator) addPrivFlow(f *FlowDemand) {
+	f.privIdx = int32(len(a.privFlows[f.tier]))
+	a.privFlows[f.tier] = append(a.privFlows[f.tier], f.tierIdx)
+}
+
+// removePrivFlow swap-removes fabric flow f from privFlows.
+func (a *Allocator) removePrivFlow(f *FlowDemand) {
+	pf := a.privFlows[f.tier]
+	last := pf[len(pf)-1]
+	pf[f.privIdx] = last
+	a.byQueue[f.tier][last].privIdx = f.privIdx
+	a.privFlows[f.tier] = pf[:len(pf)-1]
+}
+
+// addTierSlot lists shared slot s in tier q's slot list.
+func (a *Allocator) addTierSlot(q int, s int32) {
+	a.tierSlotPos[q][s] = int32(len(a.tierSlots[q]))
+	a.tierSlots[q] = append(a.tierSlots[q], s)
+}
+
+// dropTierSlot swap-removes slot s from tier q's slot list.
+func (a *Allocator) dropTierSlot(q int, s int32) {
+	ts := a.tierSlots[q]
+	k := a.tierSlotPos[q][s]
+	lastS := ts[len(ts)-1]
+	ts[k] = lastS
+	a.tierSlotPos[q][lastS] = k
+	a.tierSlots[q] = ts[:len(ts)-1]
+}
+
+// indexPrivate classifies newly registered fabric flow f's hops once its
+// crossings are indexed: a hop on a slot only f crosses is private and
+// joins f's groups, and a slot that gained its second crossing becomes
+// shared.
+func (a *Allocator) indexPrivate(f *FlowDemand) {
+	private := false
+	for _, s := range a.slots(f) {
+		switch {
+		case a.linkRef[s] == 1:
+			private = true
+		case a.sharedIdx[s] < 0:
+			a.share(s, f)
+		}
+	}
+	if private {
+		a.regroup(f)
+	}
+}
+
+// share makes slot s, private until f's crossings joined it, shared: it is
+// listed in shared and in the slot list of every tier that crosses it, and
+// the flow that held it privately, if any, drops it from its groups. The
+// walk covers s's segment ends and its few crossings, not the tiers' flows.
+func (a *Allocator) share(s int32, f *FlowDemand) {
+	a.sharedIdx[s] = int32(len(a.shared))
+	a.shared = append(a.shared, s)
+	lo := int32(0)
+	for q, hi := range a.segEnd[int(s)*a.queues : int(s+1)*a.queues] {
+		if hi > lo {
+			a.addTierSlot(q, s)
+			for _, i := range a.cross[s][lo:hi] {
+				if g := a.byQueue[q][i]; g != f {
+					a.regroup(g)
+				}
+			}
+		}
+		lo = hi
+	}
+}
+
+// unshare makes shared slot s, left with one crossing, private to the flow
+// that holds it, in that flow's group of s's capacity.
+func (a *Allocator) unshare(s int32) {
+	a.unlistShared(s)
+	g, u := a.holder(s)
+	a.dropTierSlot(u, s)
+	a.regroup(g)
+}
+
+// unlistShared swap-removes slot s from shared.
+func (a *Allocator) unlistShared(s int32) {
+	i := a.sharedIdx[s]
+	last := a.shared[len(a.shared)-1]
+	a.shared[i] = last
+	a.sharedIdx[last] = i
+	a.shared = a.shared[:len(a.shared)-1]
+	a.sharedIdx[s] = -1
 }
 
 // seg returns the bounds of tier q's crossings in cross[s].
@@ -575,9 +813,10 @@ func (a *Allocator) seg(s int32, q int) (lo, hi int32) {
 // byQueue[f.tier], into the crossing lists of the slots it crosses. The new
 // entry goes to the end of its tier's segment: the list grows by one, and
 // each later tier's segment shifts right by moving its first entry to its
-// end.
+// end. A slot that was shared already joins the tier's slot list with the
+// tier's first crossing; one that becomes shared is listed by share.
 func (a *Allocator) addCrossings(f *FlowDemand) {
-	q := f.tier
+	q := int(f.tier)
 	for i, s := range a.slots(f) {
 		e := a.segEnd[int(s)*a.queues : int(s+1)*a.queues]
 		list := append(a.cross[s], 0)
@@ -590,37 +829,42 @@ func (a *Allocator) addCrossings(f *FlowDemand) {
 			}
 			e[t]++
 		}
-		list[hole] = int32(f.tierIdx)
+		list[hole] = f.tierIdx
 		a.hopPos[int(f.slotOff)+i] = hole
 		e[q]++
-		if lo, _ := a.seg(s, q); hole == lo { // the tier's first crossing of s
-			a.tierSlotPos[q][s] = int32(len(a.tierSlots[q]))
-			a.tierSlots[q] = append(a.tierSlots[q], s)
+		if lo, _ := a.seg(s, q); hole == lo && a.sharedIdx[s] >= 0 { // the tier's first crossing of s
+			a.addTierSlot(q, s)
 		}
 	}
 }
 
-// indexCrossings builds the crossing lists and tier slot lists of every
-// registered fabric flow at once, for Allocate: walking the tiers in order
-// fills each list segment by segment with no moves, counting each tier's
-// crossings in its segEnd entry, and one prefix sum per slot turns the
-// counts into segment ends. The lists must be empty (Reset). Calling
-// addCrossings per flow in input order builds an equivalent index, but each
-// crossing of an earlier tier then shifts every later tier's segment, which
-// made BenchmarkAllocateSPQ about 1.7x slower.
+// indexCrossings builds the crossing lists, the shared and tier slot lists
+// and the private-hop records of every registered fabric flow at once, for
+// Allocate: walking the tiers in order fills each list segment by segment
+// with no moves, counting each tier's crossings in its segEnd entry, and one
+// prefix sum per slot turns the counts into segment ends. The lists must be
+// empty (Reset). Calling addCrossings per flow in input order builds an
+// equivalent index, but each crossing of an earlier tier then shifts every
+// later tier's segment, which made BenchmarkAllocateSPQ about 1.7x slower.
 func (a *Allocator) indexCrossings() {
 	for q, fl := range a.byQueue {
 		for _, f := range fl {
+			private := false
 			for i, s := range a.slots(f) {
 				list := a.cross[s]
 				a.hopPos[int(f.slotOff)+i] = int32(len(list))
-				a.cross[s] = append(list, int32(f.tierIdx))
+				a.cross[s] = append(list, f.tierIdx)
 				n := &a.segEnd[int(s)*a.queues+q]
 				*n++
-				if *n == 1 {
-					a.tierSlotPos[q][s] = int32(len(a.tierSlots[q]))
-					a.tierSlots[q] = append(a.tierSlots[q], s)
+				switch {
+				case a.linkRef[s] == 1:
+					private = true
+				case *n == 1:
+					a.addTierSlot(q, s)
 				}
+			}
+			if private {
+				a.regroup(f)
 			}
 		}
 	}
@@ -629,16 +873,20 @@ func (a *Allocator) indexCrossings() {
 		for q := 1; q < len(e); q++ {
 			e[q] += e[q-1]
 		}
+		if a.linkRef[s] > 1 {
+			a.sharedIdx[s] = int32(len(a.shared))
+			a.shared = append(a.shared, s)
+		}
 	}
 }
 
 // removeCrossings takes f's entries out of the crossing lists of the slots
 // it crosses: the last entry of f's tier segment fills the gap, each later
 // tier's segment shifts left by moving its last entry to its start, and the
-// list shrinks by one. A slot the tier no longer crosses leaves the tier's
-// slot list. f must still be at its position in byQueue[f.tier].
+// list shrinks by one. A shared slot the tier no longer crosses leaves the
+// tier's slot list. f must still be at its position in byQueue[f.tier].
 func (a *Allocator) removeCrossings(f *FlowDemand) {
-	q := f.tier
+	q := int(f.tier)
 	for i, s := range a.slots(f) {
 		e := a.segEnd[int(s)*a.queues : int(s+1)*a.queues]
 		hole := e[q] - 1
@@ -654,13 +902,8 @@ func (a *Allocator) removeCrossings(f *FlowDemand) {
 			e[t]--
 		}
 		a.cross[s] = a.cross[s][:hole]
-		if lo, hi := a.seg(s, q); hi == lo {
-			ts := a.tierSlots[q]
-			k := a.tierSlotPos[q][s]
-			lastS := ts[len(ts)-1]
-			ts[k] = lastS
-			a.tierSlotPos[q][lastS] = k
-			a.tierSlots[q] = ts[:len(ts)-1]
+		if lo, hi := a.seg(s, q); hi == lo && a.sharedIdx[s] >= 0 {
+			a.dropTierSlot(q, s)
 		}
 	}
 }
@@ -713,7 +956,9 @@ func (a *Allocator) Reset() {
 	a.local = a.local[:0]
 	for q := range a.tierSlots {
 		a.tierSlots[q] = a.tierSlots[q][:0]
+		a.privFlows[q] = a.privFlows[q][:0]
 	}
+	a.shared = a.shared[:0]
 	for _, s := range a.used {
 		a.cross[s] = a.cross[s][:0]
 		clear(a.segEnd[int(s)*a.queues : int(s+1)*a.queues])
@@ -760,7 +1005,8 @@ func (a *Allocator) Reallocate() {
 					snap[s] = a.residual[s]
 				}
 			}
-			a.fillTier(q)
+			a.fillTier(q, 1)
+			a.keepPrivate(q)
 		}
 	case ModeWRR:
 		a.reallocateWRR()
@@ -818,9 +1064,11 @@ func (a *Allocator) reallocateWRR() {
 	// not cross the residual stays the slice itself, and with finite
 	// capacities pool -= pool·w − pool·w leaves the pool exactly as it was
 	// (x − x = +0, and p − (+0) = p), so only the tier's own links are
-	// visited.
+	// visited. A private link's pool is therefore its capacity until its
+	// flow's tier, and fillTier and fillSpill start its group from the
+	// capacity, so the pool is kept for shared slots only.
 	capacity := a.tierRes[0]
-	for _, s := range a.used {
+	for _, s := range a.shared {
 		a.pool[s] = capacity[s]
 	}
 	for q := 0; q < a.queues; q++ {
@@ -832,7 +1080,7 @@ func (a *Allocator) reallocateWRR() {
 		for _, s := range slots {
 			a.residual[s] = a.pool[s] * w
 		}
-		a.fillTier(q)
+		a.fillTier(q, w)
 		for _, s := range slots {
 			// The conversion rounds the product, so no platform fuses it.
 			a.pool[s] -= float64(a.pool[s]*w) - a.residual[s]
@@ -840,20 +1088,43 @@ func (a *Allocator) reallocateWRR() {
 	}
 
 	// Phase 2: spill leftover capacity to every flow not yet at its cap.
-	for _, s := range a.used {
+	for _, s := range a.shared {
 		a.residual[s] = a.pool[s]
 	}
 	a.fillSpill()
 }
 
+// keepPrivate leaves each private slot of tier q's flows the residual its
+// group's lead ended tier q's SPQ fill with. Only tier q crosses the slot,
+// so this is the residual entering every later tier, and the snapshots
+// stay exact on private slots as on shared ones: a slot that turns shared
+// needs no rebuild. The slot entered the fill at its capacity, which is
+// where its group started.
+//
+// Allocates nothing (TestReregisterAllocatesNothing/spq): plain stores into
+// the per-slot residuals.
+func (a *Allocator) keepPrivate(q int) {
+	fl := a.byQueue[q]
+	for _, j := range a.privFlows[q] {
+		f := fl[j]
+		for _, s := range a.slots(f) {
+			if a.count[s] < 0 {
+				a.residual[s] = a.residual[a.leadOf(f, s)]
+			}
+		}
+	}
+}
+
 // fillTier water-fills tier q's flows, every one starting at rate 0, against
-// the current residuals. The touched list is the tier's slot list and the
-// crossing counts its segment lengths, and the work array is byQueue[q]
-// itself, so a flow's work index is its position in its tier.
+// the current residuals. The touched list is the tier's shared slot list and
+// the crossing counts its segment lengths, and the work array is byQueue[q]
+// itself, so a flow's work index is its position in its tier. A private
+// group starts from float64(capacity·w): WRR phase 1 passes the tier's
+// weight, and SPQ passes 1, for which the product is the capacity itself.
 //
 // Allocates nothing (TestReregisterAllocatesNothing): copies the tier's link
 // index into the pooled fill arrays.
-func (a *Allocator) fillTier(q int) {
+func (a *Allocator) fillTier(q int, w float64) {
 	touched := a.touched[:0]
 	for _, s := range a.tierSlots[q] {
 		lo, hi := a.seg(s, q)
@@ -872,6 +1143,13 @@ func (a *Allocator) fillTier(q int) {
 		a.livePos[j] = int32(j)
 	}
 	a.live = live
+	a.openClasses()
+	for _, j := range a.privFlows[q] {
+		for l := fl[j].lead; l >= 0; l = a.nextLead[l] {
+			// The conversion rounds the product as phase 1's pool·w does.
+			a.count[l] = leadCount(a.joinClass(j, float64(a.tierRes[0][l]*w)))
+		}
+	}
 	a.work = fl
 	a.workBase[q] = 0
 	a.fillLo, a.fillHi = q, q+1
@@ -883,29 +1161,39 @@ func (a *Allocator) fillTier(q int) {
 // pooled leftovers in residual. The work array lists every tier in order,
 // so tier q's flow at position i has work index workBase[q]+i; the flows
 // phase 1 capped sit in it frozen from the start. The crossing counts start
-// from linkRef minus the capped flows' crossings.
+// from linkRef minus the capped flows' crossings. A private group starts
+// from its pool after phase 1, capacity − (float64(capacity·w) − r), where
+// w is its flow's tier weight and r the residual phase 1 left its lead.
 //
 // Allocates nothing (TestReregisterAllocatesNothing/wrr): one pass over the
 // registered flows into the pooled fill arrays.
 func (a *Allocator) fillSpill() {
-	for _, s := range a.used {
+	for _, s := range a.shared {
 		a.count[s] = a.linkRef[s]
 	}
+	a.openClasses()
 	work := a.spill[:0]
 	live := a.live[:0]
 	for q, fl := range a.byQueue {
 		a.workBase[q] = int32(len(work))
+		w := a.wrrWeights[q]
 		for _, f := range fl {
 			j := int32(len(work))
 			work = append(work, f)
 			pos := int32(-1)
 			if f.MaxRate > 0 && fmath.AtLeast(f.Rate, f.MaxRate, epsRate) {
 				for _, s := range a.slots(f) {
-					a.count[s]--
+					if a.count[s] > 0 { // not privateCount
+						a.count[s]--
+					}
 				}
 			} else {
 				pos = int32(len(live))
 				live = append(live, j)
+				for l := f.lead; l >= 0; l = a.nextLead[l] {
+					c := a.tierRes[0][l]
+					a.count[l] = leadCount(a.joinClass(j, c-(float64(c*w)-a.residual[l])))
+				}
 			}
 			if int(j) < len(a.livePos) {
 				a.livePos[j] = pos
@@ -920,7 +1208,7 @@ func (a *Allocator) fillSpill() {
 		}
 	}
 	touched := a.touched[:0]
-	for _, s := range a.used {
+	for _, s := range a.shared {
 		if a.count[s] > 0 {
 			a.touchedIdx[s] = int32(len(touched))
 			touched = append(touched, s)
@@ -936,8 +1224,9 @@ func (a *Allocator) fillSpill() {
 }
 
 // freeze retires work flow j from the current fill: its rate is written
-// into its Rate, its path counts drop, links left with no live crossing
-// flow leave the touched list, and the flow leaves the live set. All
+// into its Rate, its shared path counts drop, links left with no live
+// crossing flow leave the touched list, its group leads take their
+// classes' residuals and leave them, and the flow leaves the live set. All
 // removals are O(1) swap-removes.
 //
 // Allocates nothing (TestReregisterAllocatesNothing): swap-removes over the
@@ -950,8 +1239,15 @@ func (a *Allocator) freeze(j int32) {
 		f.Rate = a.rate[j]
 	}
 	for _, s := range a.slots(f) {
-		a.count[s]--
-		if a.count[s] == 0 {
+		c := a.count[s]
+		if c < 0 {
+			if c != privateCount {
+				a.leaveClass(s, leadCount(c))
+			}
+			continue
+		}
+		a.count[s] = c - 1
+		if c == 1 {
 			ti := a.touchedIdx[s]
 			last := len(a.touched) - 1
 			lastS := a.touched[last]
@@ -967,6 +1263,114 @@ func (a *Allocator) freeze(j int32) {
 	a.livePos[lastJ] = p
 	a.live = a.live[:last]
 	a.livePos[j] = -1
+}
+
+// openClasses empties the class table for a new fill.
+func (a *Allocator) openClasses() {
+	a.clsAct = a.clsAct[:0]
+	a.clsRes = a.clsRes[:0]
+	a.memJ = a.memJ[:0]
+	a.memNext = a.memNext[:0]
+	if a.clsGen++; a.clsGen == 0 { // wrapped: entries of gen 0 would count
+		clear(a.clsTab)
+		a.clsGen = 1
+	}
+}
+
+// joinClass enters a private group of live work flow j into the class of
+// starting residual x, opening the class when the fill has none yet, and
+// returns the class.
+//
+// Allocates nothing (TestReregisterAllocatesNothing): the class arrays and
+// table reach their size in the first solves.
+func (a *Allocator) joinClass(j int32, x float64) int32 {
+	key := math.Float64bits(x)
+	c := a.lastCls
+	if len(a.clsRes) == 0 || key != a.lastKey {
+		c = a.findClass(key, x)
+		a.lastKey, a.lastCls = key, c
+	}
+	a.clsLive[c]++
+	a.memNext = append(a.memNext, a.clsHead[c])
+	a.clsHead[c] = int32(len(a.memJ))
+	a.memJ = append(a.memJ, j)
+	return c
+}
+
+// findClass returns the class of starting residual x (bits key) from
+// clsTab, opening it when the fill has none.
+func (a *Allocator) findClass(key uint64, x float64) int32 {
+	if 2*(len(a.clsRes)+1) > len(a.clsTab) {
+		a.growClassTab()
+	}
+	mask := len(a.clsTab) - 1
+	for i := classHash(key) & mask; ; i = (i + 1) & mask {
+		e := &a.clsTab[i]
+		if e.gen != a.clsGen {
+			c := a.newClass(x)
+			*e = classEntry{key: key, gen: a.clsGen, cls: c}
+			return c
+		}
+		if e.key == key {
+			return e.cls
+		}
+	}
+}
+
+// classHash spreads residual bits over the table (Fibonacci hashing): the
+// low mantissa bits of capacities are mostly zero.
+func classHash(key uint64) int {
+	return int((key * 0x9e3779b97f4a7c15) >> 32)
+}
+
+// growClassTab doubles clsTab and re-enters the fill's classes, whose
+// residuals are still their starting ones while the fill is set up.
+func (a *Allocator) growClassTab() {
+	a.clsTab = make([]classEntry, max(16, 2*len(a.clsTab)))
+	mask := len(a.clsTab) - 1
+	for c, x := range a.clsRes {
+		key := math.Float64bits(x)
+		i := classHash(key) & mask
+		for a.clsTab[i].gen == a.clsGen {
+			i = (i + 1) & mask
+		}
+		a.clsTab[i] = classEntry{key: key, gen: a.clsGen, cls: int32(c)}
+	}
+}
+
+// newClass opens a class of private links starting at residual x, with no
+// member yet, and lists it as active.
+func (a *Allocator) newClass(x float64) int32 {
+	c := int32(len(a.clsRes))
+	a.clsRes = append(a.clsRes, x)
+	if int(c) == len(a.clsLive) {
+		a.clsLive = append(a.clsLive, 0)
+		a.clsPos = append(a.clsPos, 0)
+		a.clsHead = append(a.clsHead, 0)
+	}
+	a.clsLive[c] = 0
+	a.clsHead[c] = -1
+	a.clsPos[c] = int32(len(a.clsAct))
+	a.clsAct = append(a.clsAct, c)
+	return c
+}
+
+// leaveClass retires the private group led by slot l, in class c, as its
+// flow freezes: the lead keeps the class's residual, and a class left with
+// no live group leaves the active list.
+//
+// Allocates nothing (TestReregisterAllocatesNothing): swap-removes over the
+// active class list.
+func (a *Allocator) leaveClass(l, c int32) {
+	a.residual[l] = a.clsRes[c]
+	if a.clsLive[c]--; a.clsLive[c] > 0 {
+		return
+	}
+	p := a.clsPos[c]
+	last := a.clsAct[len(a.clsAct)-1]
+	a.clsAct[p] = last
+	a.clsPos[last] = p
+	a.clsAct = a.clsAct[:len(a.clsAct)-1]
 }
 
 // capSlack over-bounds the float error the capLB bookkeeping in waterfill
@@ -988,12 +1392,18 @@ func capSlack(x, d float64) float64 {
 const shareFilter = 1 + 0x1p-40
 
 // minShare is the smallest per-link fair share residual/count over the
-// touched links, or -1 when none is touched.
+// touched links and the active classes, whose share is their residual, or
+// -1 when there is none.
 func (a *Allocator) minShare() float64 {
 	m := -1.0
 	for _, s := range a.touched {
 		if share := a.residual[s] / float64(a.count[s]); m < 0 || share < m {
 			m = share
+		}
+	}
+	for _, c := range a.clsAct {
+		if r := a.clsRes[c]; m < 0 || r < m {
+			m = r
 		}
 	}
 	return m
@@ -1040,6 +1450,21 @@ func (a *Allocator) minShare() float64 {
 //   - x − x = 0: WRR's phase 1 returns a tier's unused slice to the pool
 //     only on the links the tier crosses, since on any other link the
 //     update subtracts a product from itself (see reallocateWRR).
+//   - A private link is its flow's constraint. A link one registered
+//     crossing uses has count 1 in any fill its flow is live in, so each
+//     round computes r ← max(0, r − d) (d·1 is d) and its share is r
+//     (r/1 is r). Private links whose starting residuals have the same
+//     bits therefore hold the same residual every round while their flows
+//     are live. A flow's private links of one capacity start alike, so
+//     they form one group, and the fill keeps one class per distinct
+//     starting residual in place of their slots: the pass lowers each
+//     active class once, tests it for saturation once and offers its
+//     residual as a share, and a saturated class freezes its live member
+//     flows. A member that freezes for another reason, or is live when the
+//     fill ends, leaves its group the class residual of that moment. The
+//     tracked minimum stays exact while the class holding it keeps a live
+//     group, since its residual is still offered; only once that class
+//     empties is the minimum rescanned.
 //
 // Allocates nothing (TestReregisterAllocatesNothing): the per-solve rounds
 // run entirely over the pooled work arrays.
@@ -1073,8 +1498,8 @@ func (a *Allocator) waterfill(uniform bool) {
 
 		// The one pass over the touched links: lower each residual, collect
 		// the links that saturate, and take the smallest share of the rest.
-		residual, count, sat := a.residual, a.count, a.satBuf[:0]
-		next, minSlot, minCount := -1.0, int32(-1), int32(0)
+		residual, count, sat, csat := a.residual, a.count, a.satBuf[:0], a.clsSat[:0]
+		next, minSlot, minCount, minCls := -1.0, int32(-1), int32(0), int32(-1)
 		hi := math.Inf(1)
 		if d > 0 {
 			if uniform {
@@ -1102,6 +1527,22 @@ func (a *Allocator) waterfill(uniform bool) {
 					}
 				}
 			}
+			// The same steps for the classes, with count 1.
+			for _, c := range a.clsAct {
+				r := a.clsRes[c] - d
+				if r < 0 {
+					r = 0
+				}
+				a.clsRes[c] = r
+				if r <= epsRate {
+					csat = append(csat, c)
+					continue
+				}
+				if r < hi && (next < 0 || r < next) {
+					next, minSlot, minCls = r, -1, c
+					hi = float64(next * shareFilter)
+				}
+			}
 		} else {
 			for _, s := range a.touched {
 				r := residual[s]
@@ -1114,8 +1555,18 @@ func (a *Allocator) waterfill(uniform bool) {
 					next, minSlot, minCount = share, s, c
 				}
 			}
+			for _, c := range a.clsAct {
+				r := a.clsRes[c]
+				if r <= epsRate {
+					csat = append(csat, c)
+					continue
+				}
+				if next < 0 || r < next {
+					next, minSlot, minCls = r, -1, c
+				}
+			}
 		}
-		a.satBuf = sat
+		a.satBuf, a.clsSat = sat, csat
 		if !math.IsInf(capLB, 1) {
 			capLB -= d + capSlack(capLB, d)
 		}
@@ -1146,17 +1597,29 @@ func (a *Allocator) waterfill(uniform bool) {
 				}
 			}
 		}
-		if minSlot >= 0 && a.count[minSlot] != minCount {
+		// ...and every live member of a class that saturated.
+		for _, c := range a.clsSat {
+			for m := a.clsHead[c]; m >= 0; m = a.memNext[m] {
+				if j := a.memJ[m]; a.livePos[j] >= 0 {
+					a.freeze(j)
+				}
+			}
+		}
+		if (minSlot >= 0 && a.count[minSlot] != minCount) || (minCls >= 0 && a.clsLive[minCls] == 0) {
 			linkMin = a.minShare()
 		} else {
 			linkMin = next
 		}
 	}
 	for _, j := range a.live {
+		f := a.work[j]
 		if uniform {
-			a.work[j].Rate = a.level
+			f.Rate = a.level
 		} else {
-			a.work[j].Rate = a.rate[j]
+			f.Rate = a.rate[j]
+		}
+		for l := f.lead; l >= 0; l = a.nextLead[l] {
+			a.residual[l] = a.clsRes[leadCount(a.count[l])]
 		}
 	}
 }

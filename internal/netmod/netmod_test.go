@@ -440,6 +440,10 @@ func BenchmarkReallocateDeltaWRR(b *testing.B) { benchReallocateDelta(b, ModeWRR
 // over a fabric far larger than the cache.
 func BenchmarkReallocateDeltaWRRK48(b *testing.B) { benchReallocateDelta(b, ModeWRR, 48, 800) }
 
+// BenchmarkReallocateDeltaSPQK48 is its SPQ twin: the same fabric, flows
+// and delta, re-solving only the dirty tier suffix.
+func BenchmarkReallocateDeltaSPQK48(b *testing.B) { benchReallocateDelta(b, ModeSPQ, 48, 800) }
+
 // BenchmarkReallocateDeltaCappedWRRK8 has the shape of the trace-k8
 // workload's allocator load: about 2,000 standing flows on the 8-pod
 // fabric, every one capped at the 1.25e9 link rate as the simulator's NIC

@@ -133,7 +133,10 @@ func TestRunCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var executed atomic.Int32
 	exec := func(ctx context.Context, s trial) (outcome, error) {
-		if executed.Add(1) == 4 {
+		// Every execution from the fourth on cancels, not only the fourth:
+		// a worker descheduled before its cancel must not leave the other
+		// worker free to run the whole grid.
+		if executed.Add(1) >= 4 {
 			cancel()
 		}
 		return run(s), nil
